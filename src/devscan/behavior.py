@@ -3,6 +3,7 @@ regions they control."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,8 +20,10 @@ from .ir import (
 )
 from .taint import (
     ENTRY_DEF,
+    ReachingDefs,
     TaintResult,
     def_closure,
+    feeding_invoke,
     reaching_definitions,
 )
 
@@ -154,23 +157,37 @@ def _tainted_side(
     return None
 
 
-def find_guard_sites(taint: TaintResult, cfgs: dict[str, CFG]) -> list[GuardSite]:
+def _may_hold_sites(taint: TaintResult, sig: str, cfg: CFG) -> bool:
+    # every site needs an if, and an if or string comparison reading taint
+    if not taint.tainted_in(sig):
+        return False
+    m = cfg.method
+    reads = [i for i in m.instructions if i.opcode in IF_OPCODES or _comparison_invoke(m, i.index)]
+    return any(i.opcode in IF_OPCODES for i in reads) and any(
+        not taint.tainted_registers(sig, i.index).isdisjoint(i.operands) for i in reads
+    )
+
+
+def find_guard_sites(
+    taint: TaintResult, cfgs: dict[str, CFG], rds: dict[str, ReachingDefs] | None = None
+) -> list[GuardSite]:
     """Branches whose condition depends on device information.
 
     A site is either an if on a register holding the boolean of a string
     comparison with a tainted operand, or an if directly on a tainted
     register (reference_eq). The comparison form wins when both apply.
+    Methods where no if or comparison reads a tainted register are skipped.
+    ``rds`` holds, by signature, reaching definitions the caller already has.
     """
     sites: list[GuardSite] = []
-    for sig in sorted(cfgs):
-        cfg = cfgs[sig]
+    for sig, cfg in sorted(cfgs.items()):
+        if not _may_hold_sites(taint, sig, cfg):
+            continue
         method = cfg.method
-        rd = None
+        rd = (rds or {}).get(sig) or reaching_definitions(method, cfg)
         for ins in method.instructions:
             if ins.opcode not in IF_OPCODES:
                 continue
-            if rd is None:
-                rd = reaching_definitions(method, cfg)
             site = None
             tainted_here = taint.tainted_registers(sig, ins.index)
             for reg in ins.operands:
@@ -178,7 +195,7 @@ def find_guard_sites(taint: TaintResult, cfgs: dict[str, CFG]) -> list[GuardSite
                 for d in sorted(x for x in defs if x >= 0):
                     if method.instructions[d].opcode is not Opcode.MOVE_RESULT:
                         continue
-                    invoke_index = _feeding_invoke_index(method, d)
+                    invoke_index = feeding_invoke(method, d)
                     if invoke_index is None:
                         continue
                     cmp = _comparison_invoke(method, invoke_index)
@@ -216,25 +233,17 @@ def find_guard_sites(taint: TaintResult, cfgs: dict[str, CFG]) -> list[GuardSite
     return sites
 
 
-def _feeding_invoke_index(method: MethodIR, mr_index: int) -> int | None:
-    i = mr_index - 1
-    while i >= 0:
-        ins = method.instructions[i]
-        if ins.opcode is Opcode.NOP:
-            i -= 1
-            continue
-        return ins.index if ins.opcode in INVOKE_OPCODES else None
-    return None
-
-
-def collect_guard_strings(site: GuardSite, method: MethodIR, cfg: CFG) -> list[str]:
+def collect_guard_strings(
+    site: GuardSite, method: MethodIR, cfg: CFG, rd: ReachingDefs | None = None
+) -> list[str]:
     """Const-strings semantically tied to the guard's condition.
 
     Collects literals flowing into the comparison call's operands, plus
     every literal defined in the site's basic block or in any block holding
-    a definition on the chain feeding the condition register.
+    a definition on the chain feeding the condition register. ``rd`` is the
+    method's reaching definitions, computed here when not given.
     """
-    rd = reaching_definitions(method, cfg)
+    rd = rd if rd is not None else reaching_definitions(method, cfg)
     out: list[str] = []
     seen: set[str] = set()
 
@@ -261,7 +270,7 @@ def collect_guard_strings(site: GuardSite, method: MethodIR, cfg: CFG) -> list[s
                 if ins.opcode is Opcode.MOVE:
                     work.append((d, ins.operands[1]))
                 elif ins.opcode is Opcode.MOVE_RESULT:
-                    inv = _feeding_invoke_index(method, d)
+                    inv = feeding_invoke(method, d)
                     if inv is not None:
                         chain_defs.add(inv)
                         for arg in method.instructions[inv].operands:
@@ -347,7 +356,8 @@ def extract_region(
     passing the condition block's immediate postdominator; blocks shared by
     both arms are treated as common continuation and dropped from each.
     Called methods with bodies are followed to a fixpoint; unresolved
-    callees accumulate as system methods.
+    callees accumulate as system methods. The walk is unbounded unless
+    ``max_methods`` caps it; a capped walk marks the snippet truncated.
     """
     site = guard.site
     cfg = cfgs[site.method]
@@ -381,7 +391,6 @@ def extract_region(
     for b in sorted(taken | fallthrough):
         region_instructions.extend(cfg.instructions_of(b))
 
-    budget = max_methods if max_methods is not None else len(list(program.methods()))
     truncated = False
     reachable: set[str] = set()
     system: set[str] = set()
@@ -400,7 +409,7 @@ def extract_region(
                 if ins.field_ref:
                     types.append(descriptor_to_dotted(ins.field_ref.owner))
             elif ins.opcode in INVOKE_OPCODES and ins.method_ref:
-                edge = _edge_at(call_graph, owner_sig, ins.index)
+                edge = call_graph.edge_at(owner_sig, ins.index)
                 ref = ins.method_ref
                 invoked_names.append(f"{descriptor_to_dotted(ref.owner)}.{ref.name}")
                 if edge is not None and edge.resolved:
@@ -409,12 +418,12 @@ def extract_region(
                     system.add(ref.signature)
         return new_callees
 
-    work = scan(region_instructions, site.method)
+    work = deque(scan(region_instructions, site.method))
     while work:
-        callee = work.pop(0)
+        callee = work.popleft()
         if callee in reachable:
             continue
-        if len(reachable) >= budget:
+        if max_methods is not None and len(reachable) >= max_methods:
             truncated = True
             break
         reachable.add(callee)
@@ -444,24 +453,21 @@ def extract_region(
     )
 
 
-def _edge_at(call_graph: CallGraph, caller: str, index: int):
-    for edge in call_graph.edges_from(caller):
-        if edge.call_index == index:
-            return edge
-    return None
-
-
 def find_device_guards(
     taint: TaintResult,
     cfgs: dict[str, CFG],
     db: DeviceInfoDB,
 ) -> list[DeviceGuard]:
-    """find_guard_sites + collect_guard_strings + confirm_device_guard."""
+    """find_guard_sites + collect_guard_strings + confirm_device_guard, one
+    method at a time, sharing the method's reaching definitions between them."""
     guards: list[DeviceGuard] = []
-    for site in find_guard_sites(taint, cfgs):
-        cfg = cfgs[site.method]
-        strings = collect_guard_strings(site, cfg.method, cfg)
-        guard = confirm_device_guard(site, strings, db)
-        if guard is not None:
-            guards.append(guard)
+    for sig, cfg in sorted(cfgs.items()):
+        if not _may_hold_sites(taint, sig, cfg):
+            continue
+        rd = reaching_definitions(cfg.method, cfg)
+        for site in find_guard_sites(taint, {sig: cfg}, {sig: rd}):
+            strings = collect_guard_strings(site, cfg.method, cfg, rd)
+            guard = confirm_device_guard(site, strings, db)
+            if guard is not None:
+                guards.append(guard)
     return guards

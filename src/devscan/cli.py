@@ -118,6 +118,8 @@ def _parse_manifest(path: Path) -> list[tuple[str, str, str | None, str]]:
         if len(parts) < 2:
             raise ValueError(f"{path} line {line_no}: expected app_id<TAB>smali_root")
         app_id, smali_root = parts[0], parts[1]
+        if app_id in ("", ".", "..") or "/" in app_id or "\\" in app_id:
+            raise ValueError(f"{path} line {line_no}: bad app_id {app_id!r}, not a file name")
         apk = parts[2] if len(parts) > 2 and parts[2] else None
         market = parts[3] if len(parts) > 3 and parts[3] else "default"
         rows.append((app_id, smali_root, apk, market))

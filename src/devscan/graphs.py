@@ -203,14 +203,18 @@ class CallGraph:
     edges: tuple[CallEdge, ...]
 
     def __post_init__(self) -> None:
-        self._out: dict[str, list[CallEdge]] = {}
+        self._out: dict[str, dict[int, CallEdge]] = {}
         self._in: dict[str, list[CallEdge]] = {}
         for e in self.edges:
-            self._out.setdefault(e.caller, []).append(e)
+            self._out.setdefault(e.caller, {}).setdefault(e.call_index, e)
             self._in.setdefault(e.callee, []).append(e)
 
     def edges_from(self, signature: str) -> list[CallEdge]:
-        return self._out.get(signature, [])
+        return list(self._out.get(signature, {}).values())
+
+    def edge_at(self, caller: str, call_index: int) -> CallEdge | None:
+        """The edge of the invoke at `call_index` in `caller`, if any."""
+        return self._out.get(caller, {}).get(call_index)
 
     def callers_of(self, signature: str) -> list[CallEdge]:
         return self._in.get(signature, [])

@@ -42,7 +42,6 @@ INVOKE_OPCODES = frozenset({
 })
 IF_OPCODES = frozenset({Opcode.IF_EQZ, Opcode.IF_NEZ, Opcode.IF_EQ, Opcode.IF_NE})
 RETURN_OPCODES = frozenset({Opcode.RETURN_VOID, Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE})
-BRANCH_OPCODES = IF_OPCODES | {Opcode.GOTO}
 
 # opcode -> (register slot count or None for variadic, required attachment)
 # attachment is exactly one of literal / field_ref / method_ref / type_ref /
@@ -108,12 +107,6 @@ class Instruction:
     method_ref: MethodRef | None = None
     type_ref: str | None = None
     branch_target: int | None = None
-
-    def is_invoke(self) -> bool:
-        return self.opcode in INVOKE_OPCODES
-
-    def is_branch(self) -> bool:
-        return self.opcode in BRANCH_OPCODES
 
     def is_return(self) -> bool:
         return self.opcode in RETURN_OPCODES
@@ -270,6 +263,7 @@ class ClassDef:
         return dotted.rsplit(".", 1)[0]
 
     def validate(self) -> None:
+        """Class-level checks; each method is checked by MethodIR.validate."""
         if not is_class_descriptor(self.class_name):
             raise IRError(f"bad class descriptor: {self.class_name!r}")
         seen: set[str] = set()
@@ -278,7 +272,6 @@ class ClassDef:
             if sig in seen:
                 raise IRError(f"{self.class_name}: duplicate method {sig}")
             seen.add(sig)
-            m.validate()
 
 
 @dataclass

@@ -145,15 +145,6 @@ DEFAULT_SYSTEM_PREFIXES = (
 )
 
 
-def load_system_prefixes(path: str | Path) -> tuple[str, ...]:
-    out = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line if line.endswith("/") else line + "/")
-    return tuple(out)
-
-
 def _is_system_method(signature: str, prefixes: tuple[str, ...]) -> bool:
     owner = signature.split("->", 1)[0]
     if owner.startswith("L"):

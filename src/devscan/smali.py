@@ -185,6 +185,8 @@ def _escape(text: str) -> str:
 
 def _strip_comment(line: str) -> str:
     # '#' starts a comment unless inside a quoted string
+    if "#" not in line:
+        return line
     in_string = False
     i = 0
     while i < len(line):
@@ -502,6 +504,11 @@ def parse_smali_class(text: str) -> ClassDef:
             if line == skip_until or line.startswith(skip_until + " "):
                 skip_until = None
             continue
+        if line[0] != ".":  # an instruction or label; every directive starts with "."
+            if method is None:
+                raise SmaliSyntaxError(f"instruction outside method: {line!r}", line_no)
+            method.feed(line, line_no)
+            continue
         if line.startswith(".class"):
             tokens = line.split()
             if len(tokens) < 2 or not _CLASS_RE.match(tokens[-1]):
@@ -548,12 +555,7 @@ def parse_smali_class(text: str) -> ClassDef:
             continue
         if line.startswith(".end"):
             raise SmaliSyntaxError(f"unmatched {line!r}", line_no)
-        if line.startswith("."):
-            # unknown single-line directive: safe to ignore
-            continue
-        if method is None:
-            raise SmaliSyntaxError(f"instruction outside method: {line!r}", line_no)
-        method.feed(line, line_no)
+        # unknown single-line directive: safe to ignore
 
     if method is not None:
         raise SmaliSyntaxError("missing .end method", len(lines))

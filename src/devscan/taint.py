@@ -93,14 +93,17 @@ class TaintFact:
 
 ENTRY_DEF = -1
 
+# per instruction: register -> definition sites reaching it
+ReachingDefs = list[dict[int, frozenset[int]]]
 
-def reaching_definitions(method: MethodIR, cfg: CFG) -> list[dict[int, frozenset[int]]]:
+
+def reaching_definitions(method: MethodIR, cfg: CFG) -> ReachingDefs:
     """Per-instruction map register -> definition sites reaching it.
 
     ENTRY_DEF stands for the parameter value live on method entry.
     """
     n = len(method.instructions)
-    in_sets: list[dict[int, frozenset[int]]] = [dict() for _ in range(n)]
+    in_sets: ReachingDefs = [dict() for _ in range(n)]
     entry = {r: frozenset([ENTRY_DEF]) for r in method.param_registers()}
 
     block_out: dict[int, dict[int, frozenset[int]]] = {}
@@ -131,10 +134,7 @@ def reaching_definitions(method: MethodIR, cfg: CFG) -> list[dict[int, frozenset
 
 
 def def_closure(
-    method: MethodIR,
-    rd: list[dict[int, frozenset[int]]],
-    index: int,
-    register: int,
+    method: MethodIR, rd: ReachingDefs, index: int, register: int
 ) -> frozenset[int]:
     """Non-move definition sites feeding (register, index) through move chains."""
     result: set[int] = set()
@@ -156,10 +156,7 @@ def def_closure(
 
 
 def reaching_const_strings(
-    method: MethodIR,
-    rd: list[dict[int, frozenset[int]]],
-    index: int,
-    register: int,
+    method: MethodIR, rd: ReachingDefs, index: int, register: int
 ) -> list[str]:
     """Literals of const-string definitions feeding (register, index)."""
     defs = def_closure(method, rd, index, register)
@@ -169,6 +166,18 @@ def reaching_const_strings(
         if ins.opcode is Opcode.CONST_STRING:
             literals.append(ins.literal or "")
     return literals
+
+
+def feeding_invoke(method: MethodIR, mr_index: int) -> int | None:
+    """Index of the invoke whose value a move-result consumes; mirror of result_register."""
+    i = mr_index - 1
+    while i >= 0:
+        ins = method.instructions[i]
+        if ins.opcode is Opcode.NOP:
+            i -= 1
+            continue
+        return i if ins.opcode in INVOKE_OPCODES else None
+    return None
 
 
 def result_register(method: MethodIR, invoke_index: int) -> tuple[int, int] | None:
@@ -207,9 +216,9 @@ def find_sources(
         if not method.has_body:
             continue
         cfg = (cfgs or {}).get(method.signature) or build_cfg(method)
-        rd: list[dict[int, frozenset[int]]] | None = None
+        rd: ReachingDefs | None = None
 
-        def lazy_rd() -> list[dict[int, frozenset[int]]]:
+        def lazy_rd() -> ReachingDefs:
             nonlocal rd
             if rd is None:
                 rd = reaching_definitions(method, cfg)
@@ -334,6 +343,10 @@ class TaintResult:
             return frozenset()
         return frozenset(r for r, fs in sets[index].items() if fs)
 
+    def tainted_in(self, method_sig: str) -> bool:
+        """Whether any register of the method is tainted at any point."""
+        return any(fs for state in self._points.get(method_sig, ()) for fs in state.values())
+
     def per_point(self) -> dict[str, dict[int, frozenset[int]]]:
         out: dict[str, dict[int, frozenset[int]]] = {}
         for sig, sets in self._points.items():
@@ -427,11 +440,13 @@ class _LocalSolver:
             return
         if op is Opcode.MOVE_RESULT:
             dst = ins.operands[0]
-            invoke = self._feeding_invoke(ins.index)
+            invoke = feeding_invoke(self.method, ins.index)
             if invoke is None:
                 state[dst] = frozenset()
                 return
-            state[dst] = self.invoke_result_fn(self.sig, invoke, ins.index, dst, state)
+            state[dst] = self.invoke_result_fn(
+                self.sig, self.method.instructions[invoke], ins.index, dst, state
+            )
             return
         if op is Opcode.SGET_OBJECT:
             dst = ins.operands[0]
@@ -445,16 +460,6 @@ class _LocalSolver:
         w = written_register(ins)
         if w is not None:
             state[w] = frozenset()
-
-    def _feeding_invoke(self, mr_index: int) -> Instruction | None:
-        i = mr_index - 1
-        while i >= 0:
-            ins = self.method.instructions[i]
-            if ins.opcode is Opcode.NOP:
-                i -= 1
-                continue
-            return ins if ins.opcode in INVOKE_OPCODES else None
-        return None
 
 
 class TaintEngine:
@@ -489,9 +494,6 @@ class TaintEngine:
                 self._sget_sources.setdefault(src.method, {})[src.index] = i
             else:
                 self._invoke_sources[(src.method, src.index)] = i
-        self._resolution: dict[tuple[str, int], tuple[str, bool]] = {
-            (e.caller, e.call_index): (e.callee, e.resolved) for e in call_graph.edges
-        }
 
     # -- invoke transfer -------------------------------------------------
 
@@ -508,11 +510,9 @@ class TaintEngine:
         if origin is not None:
             key = (caller_sig, dst, mr_index, origin)
             facts.add(self.table.origin_fact(key))
-        callee, resolved = self._resolution.get(
-            (caller_sig, invoke.index), (None, False)
-        )
-        if resolved and callee is not None:
-            for rf in sorted(self.summaries.get(callee, frozenset())):
+        edge = self.call_graph.edge_at(caller_sig, invoke.index)
+        if edge is not None and edge.resolved:
+            for rf in sorted(self.summaries.get(edge.callee, frozenset())):
                 step = (
                     Step.CALLER_RETURN
                     if Step.PARAM_IN in self.table.chains[rf]
@@ -549,9 +549,10 @@ class TaintEngine:
             if ins.opcode in (Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE):
                 return_facts |= in_sets[ins.index].get(ins.operands[0], frozenset())
             elif ins.opcode in INVOKE_OPCODES:
-                callee, resolved = self._resolution.get((sig, ins.index), (None, False))
-                if not resolved or callee is None:
+                edge = self.call_graph.edge_at(sig, ins.index)
+                if edge is None or not edge.resolved:
                     continue
+                callee = edge.callee
                 callee_method = self.program.find_method(callee)
                 if callee_method is None or not callee_method.has_body:
                     continue

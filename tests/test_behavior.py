@@ -1,3 +1,6 @@
+import pytest
+
+from devscan import behavior
 from devscan.behavior import (
     Arm,
     ComparisonKind,
@@ -54,6 +57,25 @@ def test_sites_without_identifiers_stay_sites(device_db):
     run, sites = guard_sites_of("loop_moves")
     assert len(sites) == 1  # tainted null-ish check
     assert find_device_guards(run.taint, run.cfgs, device_db) == []
+
+
+@pytest.mark.parametrize(
+    "fid, expected", [("multi_guard", 1), ("zero_sources", 0), ("untainted_cmp", 0)]
+)
+def test_reaching_definitions_once_per_method(device_db, monkeypatch, fid, expected):
+    run = corpus_run(fid)
+    calls = []
+    real = behavior.reaching_definitions
+
+    def counted(method, cfg):
+        calls.append(method.signature)
+        return real(method, cfg)
+
+    monkeypatch.setattr(behavior, "reaching_definitions", counted)
+    find_device_guards(run.taint, run.cfgs, device_db)
+    # multi_guard holds two sites in one method; in the others no if or
+    # string comparison reads a tainted register
+    assert len(calls) == expected
 
 
 # -- collect_guard_strings --------------------------------------------------------

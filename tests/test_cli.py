@@ -3,6 +3,7 @@ import zipfile
 
 import pytest
 
+import devscan.cli
 from devscan.cli import main
 from devscan.fixtures import corpus_root
 
@@ -79,6 +80,28 @@ def test_batch_parallel(tmp_path, capsys):
     out_dir = tmp_path / "reports"
     assert main(["batch", str(manifest), "--out-dir", str(out_dir), "--jobs", "2"]) == 0
     assert len(list(out_dir.glob("*.json"))) == 2
+
+
+@pytest.mark.parametrize("bad_id", ["a/b", "../x", "a\\b", ".", ".."])
+def test_batch_rejects_bad_app_id_before_any_row(tmp_path, capsys, monkeypatch, bad_id):
+    analyzed = []
+    real = devscan.cli.analyze_app
+
+    def recording(*args, **kwargs):
+        analyzed.append(kwargs.get("app_id"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(devscan.cli, "analyze_app", recording)
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(
+        f"good\t{smali_root('zero_sources')}\n" f"{bad_id}\t{smali_root('zero_sources')}\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "reports"
+    assert main(["batch", str(manifest), "--out-dir", str(out_dir)]) == 2
+    assert f"{manifest} line 2: bad app_id" in capsys.readouterr().err
+    assert analyzed == []
+    assert list(tmp_path.rglob("*.json")) == []
 
 
 def test_aggregate_empty_dir(tmp_path, capsys):

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .devicedb import DEFAULT_SOURCE_SPECS, SourceSpec
 from .graphs import CFG, CallGraph, build_cfg
@@ -94,36 +98,45 @@ class TaintFact:
 ENTRY_DEF = -1
 
 # per instruction: register -> definition sites reaching it
-ReachingDefs = list[dict[int, frozenset[int]]]
+ReachingDefs = list[Mapping[int, frozenset[int]]]
+
+# updates a register state in place with one instruction's effect
+Transfer = Callable[[Instruction, dict], None]
+
+# the state of a point no pass has reached yet
+_UNREACHED: Mapping = MappingProxyType({})
 
 
-def reaching_definitions(method: MethodIR, cfg: CFG) -> ReachingDefs:
-    """Per-instruction map register -> definition sites reaching it.
+def solve_blocks(
+    cfg: CFG, entry: dict, transfer: Transfer, deadline: float | None = None
+) -> list[Mapping]:
+    """Forward may-dataflow over one method's blocks, to a fixpoint.
 
-    ENTRY_DEF stands for the parameter value live on method entry.
+    A state maps register -> value, and values join with ``|``: frozensets
+    of definition sites, or origin masks. ``entry`` holds on method entry.
+    Returns the state before every instruction; once ``deadline`` has
+    passed, the states reached so far.
     """
-    n = len(method.instructions)
-    in_sets: ReachingDefs = [dict() for _ in range(n)]
-    entry = {r: frozenset([ENTRY_DEF]) for r in method.param_registers()}
-
-    block_out: dict[int, dict[int, frozenset[int]]] = {}
+    instructions = cfg.method.instructions
+    in_sets: list[Mapping] = [_UNREACHED] * len(instructions)
+    block_out: dict[int, dict] = {}
     work = deque(sorted(b.bid for b in cfg.blocks))
     queued = set(work)
     while work:
+        if deadline is not None and time.monotonic() > deadline:
+            break  # partial in_sets; the caller flags non-convergence
         bid = work.popleft()
         queued.discard(bid)
-        state: dict[int, frozenset[int]] = {}
-        for pred in sorted(cfg.predecessors(bid)):
-            for reg, defs in block_out.get(pred, {}).items():
-                state[reg] = state.get(reg, frozenset()) | defs
+        state: dict = {}
+        joins = [block_out.get(p, {}) for p in sorted(cfg.predecessors(bid))]
         if bid == 0:
-            for reg, defs in entry.items():
-                state[reg] = state.get(reg, frozenset()) | defs
+            joins.append(entry)
+        for incoming in joins:
+            for reg, value in incoming.items():
+                state[reg] = state[reg] | value if reg in state else value
         for i in cfg.block(bid).indices():
-            in_sets[i] = dict(state)
-            w = written_register(method.instructions[i])
-            if w is not None:
-                state[w] = frozenset([i])
+            in_sets[i] = state.copy()
+            transfer(instructions[i], state)
         if block_out.get(bid) != state:
             block_out[bid] = state
             for succ in sorted(cfg.successors(bid)):
@@ -131,6 +144,20 @@ def reaching_definitions(method: MethodIR, cfg: CFG) -> ReachingDefs:
                     work.append(succ)
                     queued.add(succ)
     return in_sets
+
+
+def _define(ins: Instruction, state: dict[int, frozenset[int]]) -> None:
+    if (w := written_register(ins)) is not None:
+        state[w] = frozenset([ins.index])
+
+
+def reaching_definitions(method: MethodIR, cfg: CFG) -> ReachingDefs:
+    """Per-instruction map register -> definition sites reaching it.
+
+    ENTRY_DEF stands for the parameter value live on method entry.
+    """
+    entry = {r: frozenset([ENTRY_DEF]) for r in method.param_registers()}
+    return solve_blocks(cfg, entry, _define)
 
 
 def def_closure(
@@ -305,15 +332,16 @@ def find_sources(
 
 # ---------------------------------------------------------------------------
 # propagation engine
+#
+# Every dataflow value is an origin mask: one int whose bit i stands for
+# sources[i]. TaintFacts, with their ranges, uses and chains, are rebuilt
+# from the solved masks only when asked for.
 
 FactKey = tuple[str, int, int, int]  # (method, register, def index, origin index)
 
-
-@dataclass
-class MethodSolution:
-    in_sets: list[dict[int, frozenset[FactKey]]]
-    return_facts: frozenset[FactKey]
-    seed_events: tuple[tuple[str, int, FactKey], ...]  # (callee, register, fact)
+# a parent fact and the step deriving from it; None stands for a callee
+# return, CALLER_RETURN when the parent's chain came in as a parameter
+Derivation = tuple[FactKey, Step | None]
 
 
 @dataclass
@@ -321,149 +349,163 @@ class TaintResult:
     sources: tuple[DeviceInfoSource, ...]
     iterations: int
     converged: bool
-    _points: dict[str, list[dict[int, frozenset[FactKey]]]] = field(
-        default_factory=dict, repr=False
-    )
-    _build_facts: object = field(default=None, repr=False, compare=False)
-    _facts_cache: frozenset[TaintFact] | None = field(
+    _points: dict[str, list[Mapping[int, int]]] = field(default_factory=dict, repr=False)
+    _build_facts: Callable[[], frozenset[TaintFact]] | None = field(
         default=None, repr=False, compare=False
     )
 
-    @property
+    @cached_property
     def facts(self) -> frozenset[TaintFact]:
         # materialized on demand; partial results can be very large
-        if self._facts_cache is None:
-            self._facts_cache = self._build_facts() if self._build_facts else frozenset()
-        return self._facts_cache
+        return self._build_facts() if self._build_facts else frozenset()
 
     def tainted_registers(self, method_sig: str, index: int) -> frozenset[int]:
         """Registers tainted immediately before the instruction executes."""
         sets = self._points.get(method_sig)
         if sets is None or index >= len(sets):
             return frozenset()
-        return frozenset(r for r, fs in sets[index].items() if fs)
+        return frozenset(sets[index])
 
     def tainted_in(self, method_sig: str) -> bool:
         """Whether any register of the method is tainted at any point."""
-        return any(fs for state in self._points.get(method_sig, ()) for fs in state.values())
+        return any(self._points.get(method_sig, ()))
 
     def per_point(self) -> dict[str, dict[int, frozenset[int]]]:
-        out: dict[str, dict[int, frozenset[int]]] = {}
-        for sig, sets in self._points.items():
-            out[sig] = {
-                i: frozenset(r for r, fs in state.items() if fs)
-                for i, state in enumerate(sets)
-            }
-        return out
+        return {
+            sig: {i: frozenset(state) for i, state in enumerate(sets)}
+            for sig, sets in self._points.items()
+        }
 
 
-class _FactTable:
-    """Interns facts; the first chain derived for a key is kept."""
-
-    def __init__(self) -> None:
-        self.chains: dict[FactKey, tuple[Step, ...]] = {}
-
-    def origin_fact(self, key: FactKey) -> FactKey:
-        self.chains.setdefault(key, ())
-        return key
-
-    def derive(self, key: FactKey, parent: FactKey, step: Step) -> FactKey:
-        if key not in self.chains:
-            self.chains[key] = self.chains[parent] + (step,)
-        return key
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-class _LocalSolver:
-    """Forward may-taint dataflow over one method body."""
+def _store(state: dict[int, int], reg: int, mask: int) -> None:
+    """Write a register; one holding no origin drops out of the state."""
+    if mask:
+        state[reg] = mask
+    else:
+        state.pop(reg, None)
 
-    def __init__(
-        self,
-        method: MethodIR,
-        cfg: CFG,
-        table: _FactTable,
-        entry_facts: dict[int, frozenset[FactKey]],
-        sget_sources: dict[int, int],  # instruction index -> origin index
-        invoke_result_fn,
-        deadline: float | None = None,
-    ):
-        self.method = method
-        self.cfg = cfg
-        self.table = table
-        self.entry_facts = entry_facts
-        self.sget_sources = sget_sources
-        self.invoke_result_fn = invoke_result_fn
-        self.deadline = deadline
-        self.sig = method.signature
 
-    def solve(self) -> tuple[list[dict[int, frozenset[FactKey]]], dict[int, dict[int, frozenset[FactKey]]]]:
-        n = len(self.method.instructions)
-        in_sets: list[dict[int, frozenset[FactKey]]] = [dict() for _ in range(n)]
-        block_out: dict[int, dict[int, frozenset[FactKey]]] = {}
-        work = deque(sorted(b.bid for b in self.cfg.blocks))
-        queued = set(work)
-        while work:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                break  # partial in_sets; caller flags non-convergence
-            bid = work.popleft()
-            queued.discard(bid)
-            state: dict[int, frozenset[FactKey]] = {}
-            for pred in sorted(self.cfg.predecessors(bid)):
-                for reg, fs in block_out.get(pred, {}).items():
-                    state[reg] = state.get(reg, frozenset()) | fs
-            if bid == 0:
-                for reg, fs in self.entry_facts.items():
-                    state[reg] = state.get(reg, frozenset()) | fs
-            for i in self.cfg.block(bid).indices():
-                snapshot = {r: fs for r, fs in state.items() if fs}
-                if snapshot != in_sets[i]:
-                    in_sets[i] = snapshot
-                self._transfer(self.method.instructions[i], state)
-            state = {r: fs for r, fs in state.items() if fs}
-            if block_out.get(bid) != state:
-                block_out[bid] = state
-                for succ in sorted(self.cfg.successors(bid)):
-                    if succ not in queued:
-                        work.append(succ)
-                        queued.add(succ)
-        return in_sets, block_out
+def _move_or_kill(ins: Instruction, state: dict[int, int]) -> None:
+    """A move copies its source's mask; any other write kills."""
+    if ins.opcode is Opcode.MOVE:
+        _store(state, ins.operands[0], state.get(ins.operands[1], 0))
+    elif (w := written_register(ins)) is not None:
+        state.pop(w, None)
 
-    def _transfer(self, ins: Instruction, state: dict[int, frozenset[FactKey]]) -> None:
-        op = ins.opcode
-        if op is Opcode.MOVE:
-            dst, src = ins.operands
-            parents = state.get(src, frozenset())
-            facts = set()
-            for parent in sorted(parents):
-                key = (self.sig, dst, ins.index, parent[3])
-                facts.add(self.table.derive(key, parent, Step.MOVE))
-            state[dst] = frozenset(facts)
-            return
-        if op is Opcode.MOVE_RESULT:
-            dst = ins.operands[0]
-            invoke = feeding_invoke(self.method, ins.index)
-            if invoke is None:
-                state[dst] = frozenset()
-                return
-            state[dst] = self.invoke_result_fn(
-                self.sig, self.method.instructions[invoke], ins.index, dst, state
+
+class _Solved(NamedTuple):
+    """One method's solved masks and the inputs that produced them."""
+
+    cfg: CFG
+    in_sets: list[Mapping[int, int]]
+    entry: dict[int, int]
+    transfer: Transfer
+
+    def definitions(self) -> Iterator[tuple[int, int, int]]:
+        """(register, definition index, written mask) of each tainted definition."""
+        yield from ((reg, ENTRY_DEF, mask) for reg, mask in self.entry.items())
+        for ins in self.cfg.method.instructions:
+            if (w := written_register(ins)) is not None:
+                state = dict(self.in_sets[ins.index])
+                self.transfer(ins, state)
+                if w in state:
+                    yield w, ins.index, state[w]
+
+
+def _build_facts(
+    solved: dict[str, _Solved],
+    origins: Sequence[DeviceInfoSource],
+    incoming: Callable[[FactKey, Callable], tuple[Step, ...] | list[Derivation]],
+    exact: bool,
+) -> frozenset[TaintFact]:
+    """TaintFacts of solved methods, one per definition and origin bit.
+
+    ``incoming(key, live)`` gives a fact's chain when the fact is a root,
+    else its parents other than a move's source; ``live(method, register,
+    index, origin)`` lists the facts reaching an instruction. A chain
+    follows a shortest derivation from a root, ties going to the smallest
+    parent key. With ``exact`` a valid range ends at the last point its
+    definition reaches and ``uses`` lists the points reading it; a partial
+    result keeps both coarse.
+    """
+    keys = {
+        (sig, reg, d, origin)
+        for sig, method in solved.items()
+        for reg, d, mask in method.definitions()
+        for origin in _bits(mask)
+    }
+    rds: dict[str, ReachingDefs] = {}
+    for sig in {key[0] for key in keys}:
+        cfg, _, entry, _ = solved[sig]
+        defs = {r: frozenset([ENTRY_DEF]) for r in {*cfg.method.param_registers(), *entry}}
+        rds[sig] = solve_blocks(cfg, defs, _define)
+
+    def live(sig: str, reg: int, index: int, origin: int) -> list[FactKey]:
+        defs = rds[sig][index].get(reg, ()) if sig in rds else ()
+        return [key for d in defs if (key := (sig, reg, d, origin)) in keys]
+
+    chains: dict[FactKey, tuple[Step, ...]] = {}
+    parents: dict[FactKey, list[Derivation]] = {}
+    children: dict[FactKey, list[FactKey]] = {}
+    for key in keys:
+        found = incoming(key, live)
+        if isinstance(found, tuple):
+            chains[key] = found
+            continue
+        sig, _, d, origin = key
+        ins = solved[sig].cfg.method.instructions[d] if d != ENTRY_DEF else None
+        if ins is not None and ins.opcode is Opcode.MOVE:
+            found += [(k, Step.MOVE) for k in live(sig, ins.operands[1], d, origin)]
+        parents[key] = found
+        for parent, _ in found:
+            children.setdefault(parent, []).append(key)
+    frontier = list(chains)
+    while frontier:
+        layer: dict[FactKey, tuple[Step, ...]] = {}
+        for key in {c for p in frontier for c in children.get(p, ()) if c not in chains}:
+            parent, step = min(
+                ((p, s) for p, s in parents[key] if p in chains), key=lambda ps: ps[0]
             )
-            return
-        if op is Opcode.SGET_OBJECT:
-            dst = ins.operands[0]
-            origin = self.sget_sources.get(ins.index)
-            if origin is not None:
-                key = (self.sig, dst, ins.index, origin)
-                state[dst] = frozenset([self.table.origin_fact(key)])
-            else:
-                state[dst] = frozenset()
-            return
-        w = written_register(ins)
-        if w is not None:
-            state[w] = frozenset()
+            if step is None:
+                step = Step.CALLER_RETURN if Step.PARAM_IN in chains[parent] else Step.CALLEE_RETURN
+            layer[key] = chains[parent] + (step,)
+        chains.update(layer)
+        frontier = list(layer)
+
+    live_at: dict[tuple[str, int, int], list[int]] = {}
+    read_at: dict[tuple[str, int, int], list[int]] = {}
+    for sig, rd in rds.items() if exact else ():
+        instructions = solved[sig].cfg.method.instructions
+        for i, state in enumerate(rd):
+            reads = read_registers(instructions[i])
+            for reg, defs in state.items():
+                for d in defs:
+                    live_at.setdefault((sig, reg, d), []).append(i)
+                    if reg in reads:
+                        read_at.setdefault((sig, reg, d), []).append(i)
+    facts = set()
+    for (sig, reg, d, origin), chain in chains.items():
+        start = max(d, 0)
+        end = max(live_at.get((sig, reg, d), [start]))
+        uses = tuple(read_at.get((sig, reg, d), ()))
+        facts.add(TaintFact(sig, reg, (start, end), origins[origin], chain, uses))
+    return frozenset(facts)
 
 
 class TaintEngine:
-    """Worklist fixpoint over per-method dataflow solutions."""
+    """Worklist fixpoint over per-method passes.
+
+    A pass solves one method body from its entry masks (what callers pass
+    in) and its callees' summaries (the masks they return). A method is
+    queued again when either changes.
+    """
 
     def __init__(
         self,
@@ -482,94 +524,66 @@ class TaintEngine:
         n_methods = max(1, len(cfgs))
         self.max_method_passes = max_method_passes or max(200, 40 * n_methods)
 
-        self.table = _FactTable()
-        self.entry_facts: dict[str, dict[int, frozenset[FactKey]]] = {}
-        self.summaries: dict[str, frozenset[FactKey]] = {}
-        self.solutions: dict[str, list[dict[int, frozenset[FactKey]]]] = {}
+        self.entry_facts: dict[str, dict[int, int]] = {}
+        self.summaries: dict[str, int] = {}
+        self.solutions: dict[str, list[Mapping[int, int]]] = {}
         self.iterations = 0
-        self._sget_sources: dict[str, dict[int, int]] = {}
-        self._invoke_sources: dict[tuple[str, int], int] = {}
+        self._sget_bits: dict[str, dict[int, int]] = {}
+        self._invoke_bits: dict[tuple[str, int], int] = {}
         for i, src in enumerate(self.sources):
             if src.kind is SourceKind.BUILD_FIELD_READ:
-                self._sget_sources.setdefault(src.method, {})[src.index] = i
+                self._sget_bits.setdefault(src.method, {})[src.index] = 1 << i
             else:
-                self._invoke_sources[(src.method, src.index)] = i
+                self._invoke_bits[(src.method, src.index)] = 1 << i
+        self._shapes: dict[str, tuple[list, list]] = {}
 
-    # -- invoke transfer -------------------------------------------------
+    def _shape(self, sig: str) -> tuple[list, list]:
+        """A method's returns, as (index, register), and its resolved calls
+        into bodies, as (index, callee, first parameter register, arguments)."""
+        if sig not in self._shapes:
+            returns, calls = [], []
+            for ins in self.cfgs[sig].method.instructions:
+                if ins.opcode in (Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE):
+                    returns.append((ins.index, ins.operands[0]))
+                elif ins.opcode in INVOKE_OPCODES:
+                    edge = self.call_graph.edge_at(sig, ins.index)
+                    if edge is not None and edge.resolved and edge.callee in self.cfgs:
+                        base = self.cfgs[edge.callee].method.registers - len(ins.operands)
+                        if base >= 0:
+                            calls.append((ins.index, edge.callee, base, ins.operands))
+            self._shapes[sig] = (returns, calls)
+        return self._shapes[sig]
 
-    def _invoke_result(
-        self,
-        caller_sig: str,
-        invoke: Instruction,
-        mr_index: int,
-        dst: int,
-        state: dict[int, frozenset[FactKey]],
-    ) -> frozenset[FactKey]:
-        facts: set[FactKey] = set()
-        origin = self._invoke_sources.get((caller_sig, invoke.index))
-        if origin is not None:
-            key = (caller_sig, dst, mr_index, origin)
-            facts.add(self.table.origin_fact(key))
-        edge = self.call_graph.edge_at(caller_sig, invoke.index)
+    def _transfer(self, sig: str) -> Transfer:
+        method = self.cfgs[sig].method
+        sget_bits = self._sget_bits.get(sig, {})
+
+        def transfer(ins: Instruction, state: dict[int, int]) -> None:
+            op = ins.opcode
+            if op is Opcode.MOVE_RESULT:
+                _store(state, ins.operands[0], self._result_mask(sig, method, ins.index, state))
+            elif op is Opcode.SGET_OBJECT:
+                _store(state, ins.operands[0], sget_bits.get(ins.index, 0))
+            else:
+                _move_or_kill(ins, state)
+
+        return transfer
+
+    def _result_mask(
+        self, sig: str, method: MethodIR, mr_index: int, state: dict[int, int]
+    ) -> int:
+        """Origins a move-result receives: its invoke's own source, plus the
+        callee's summary or, for an unresolved callee, every argument's."""
+        invoke = feeding_invoke(method, mr_index)
+        if invoke is None:
+            return 0
+        mask = self._invoke_bits.get((sig, invoke), 0)
+        edge = self.call_graph.edge_at(sig, invoke)
         if edge is not None and edge.resolved:
-            for rf in sorted(self.summaries.get(edge.callee, frozenset())):
-                step = (
-                    Step.CALLER_RETURN
-                    if Step.PARAM_IN in self.table.chains[rf]
-                    else Step.CALLEE_RETURN
-                )
-                key = (caller_sig, dst, mr_index, rf[3])
-                facts.add(self.table.derive(key, rf, step))
-        else:
-            for arg in invoke.operands:
-                for parent in sorted(state.get(arg, frozenset())):
-                    key = (caller_sig, dst, mr_index, parent[3])
-                    facts.add(self.table.derive(key, parent, Step.LIB_RETURN))
-        return frozenset(facts)
-
-    # -- per-method pass -------------------------------------------------
-
-    def _solve_method(self, sig: str) -> MethodSolution:
-        cfg = self.cfgs[sig]
-        method = cfg.method
-        solver = _LocalSolver(
-            method,
-            cfg,
-            self.table,
-            self.entry_facts.get(sig, {}),
-            self._sget_sources.get(sig, {}),
-            self._invoke_result,
-            deadline=self.deadline,
-        )
-        in_sets, _ = solver.solve()
-
-        return_facts: set[FactKey] = set()
-        seed_events: list[tuple[str, int, FactKey]] = []
-        for ins in method.instructions:
-            if ins.opcode in (Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE):
-                return_facts |= in_sets[ins.index].get(ins.operands[0], frozenset())
-            elif ins.opcode in INVOKE_OPCODES:
-                edge = self.call_graph.edge_at(sig, ins.index)
-                if edge is None or not edge.resolved:
-                    continue
-                callee = edge.callee
-                callee_method = self.program.find_method(callee)
-                if callee_method is None or not callee_method.has_body:
-                    continue
-                nargs = len(ins.operands)
-                base = callee_method.registers - nargs
-                if base < 0:
-                    continue
-                for word, arg in enumerate(ins.operands):
-                    for parent in sorted(in_sets[ins.index].get(arg, frozenset())):
-                        key = (callee, base + word, ENTRY_DEF, parent[3])
-                        self.table.derive(key, parent, Step.PARAM_IN)
-                        seed_events.append((callee, base + word, key))
-        return MethodSolution(
-            in_sets=in_sets,
-            return_facts=frozenset(return_facts),
-            seed_events=tuple(seed_events),
-        )
+            return mask | self.summaries.get(edge.callee, 0)
+        for arg in method.instructions[invoke].operands:
+            mask |= state.get(arg, 0)
+        return mask
 
     # -- fixpoint ---------------------------------------------------------
 
@@ -595,65 +609,92 @@ class TaintEngine:
 
     def _apply_pass(self, sig: str) -> list[str]:
         """Run one method pass; return methods whose inputs changed."""
-        solution = self._solve_method(sig)
+        in_sets = solve_blocks(
+            self.cfgs[sig], self.entry_facts.get(sig, {}), self._transfer(sig), self.deadline
+        )
+        self.solutions[sig] = in_sets
+        returns, calls = self._shape(sig)
         dirty: list[str] = []
-        self.solutions[sig] = solution.in_sets
-        if solution.return_facts != self.summaries.get(sig, frozenset()):
-            self.summaries[sig] = solution.return_facts
+        summary = 0
+        for index, reg in returns:
+            summary |= in_sets[index].get(reg, 0)
+        if summary != self.summaries.get(sig, 0):
+            self.summaries[sig] = summary
             for edge in sorted(
                 self.call_graph.callers_of(sig), key=lambda e: (e.caller, e.call_index)
             ):
                 if edge.resolved:
                     dirty.append(edge.caller)
-        for callee, reg, key in solution.seed_events:
+        for index, callee, base, args in calls:
             regs = self.entry_facts.setdefault(callee, {})
-            if key not in regs.get(reg, frozenset()):
-                regs[reg] = regs.get(reg, frozenset()) | {key}
-                dirty.append(callee)
+            for word, arg in enumerate(args):
+                mask = in_sets[index].get(arg, 0)
+                if mask & ~regs.get(base + word, 0):
+                    regs[base + word] = regs.get(base + word, 0) | mask
+                    dirty.append(callee)
         return list(dict.fromkeys(dirty))
 
     def sweep_once(self) -> int:
-        """Extra propagation round over every method; returns new fact count."""
-        before = len(self.table.chains)
+        """Extra propagation round over every method; returns the number of
+        new (method, register, origin) bits it adds, 0 at a fixpoint."""
+
+        def register_masks() -> dict[tuple[str, int], int]:
+            masks: dict[tuple[str, int], int] = {}
+            for sig, method in self._solved(self.solutions).items():
+                for reg, _, mask in method.definitions():
+                    masks[(sig, reg)] = masks.get((sig, reg), 0) | mask
+            return masks
+
+        before = register_masks()
         for sig in sorted(self.cfgs):
             self._apply_pass(sig)
-        return len(self.table.chains) - before
+        return sum((m & ~before.get(k, 0)).bit_count() for k, m in register_masks().items())
+
+    # -- facts --------------------------------------------------------------
+
+    def _solved(self, points: dict[str, list[Mapping[int, int]]]) -> dict[str, _Solved]:
+        return {
+            sig: _Solved(self.cfgs[sig], in_sets, self.entry_facts.get(sig, {}), self._transfer(sig))
+            for sig, in_sets in points.items()
+        }
+
+    def _incoming(self, key: FactKey, live: Callable) -> tuple[Step, ...] | list[Derivation]:
+        """() for a fact a source read creates; else its parameter or
+        move-result parents."""
+        sig, reg, d, origin = key
+        if d == ENTRY_DEF:
+            callers = sorted({e.caller for e in self.call_graph.callers_of(sig)} & self.cfgs.keys())
+            return [
+                (k, Step.PARAM_IN)
+                for caller in callers
+                for index, callee, base, args in self._shape(caller)[1]
+                if callee == sig and 0 <= reg - base < len(args)
+                for k in live(caller, args[reg - base], index, origin)
+            ]
+        method = self.cfgs[sig].method
+        op = method.instructions[d].opcode
+        if op is Opcode.SGET_OBJECT:
+            return () if self._sget_bits.get(sig, {}).get(d, 0) >> origin & 1 else []
+        if op is not Opcode.MOVE_RESULT:
+            return []
+        invoke = feeding_invoke(method, d)  # the key's move-result has one
+        if self._invoke_bits.get((sig, invoke), 0) >> origin & 1:
+            return ()
+        edge = self.call_graph.edge_at(sig, invoke)
+        if edge is not None and edge.resolved:
+            returns = self._shape(edge.callee)[0]
+            return [(k, None) for i, ret in returns for k in live(edge.callee, ret, i, origin)]
+        return [
+            (k, Step.LIB_RETURN)
+            for arg in method.instructions[invoke].operands
+            for k in live(sig, arg, d, origin)
+        ]
 
     def _build_result(self, converged: bool) -> TaintResult:
-        points: dict[str, list[dict[int, frozenset[FactKey]]]] = dict(self.solutions)
+        points = dict(self.solutions)
 
         def build_facts() -> frozenset[TaintFact]:
-            facts: list[TaintFact] = []
-            live: dict[FactKey, list[int]] = {}
-            uses: dict[FactKey, list[int]] = {}
-            if converged:
-                # exact ranges and use sites need a scan over every point;
-                # partial results keep coarse ranges instead
-                for sig, in_sets in points.items():
-                    method = self.cfgs[sig].method
-                    for i, state in enumerate(in_sets):
-                        reads = read_registers(method.instructions[i])
-                        for reg, fs in state.items():
-                            for key in fs:
-                                live.setdefault(key, []).append(i)
-                                if reg in reads:
-                                    uses.setdefault(key, []).append(i)
-            for key, chain in self.table.chains.items():
-                sig, reg, def_index, origin_index = key
-                indices = live.get(key, [])
-                start = max(def_index, 0)
-                end = max(indices) if indices else start
-                facts.append(
-                    TaintFact(
-                        method=sig,
-                        register=reg,
-                        valid_range=(start, end),
-                        origin=self.sources[origin_index],
-                        chain=chain,
-                        uses=tuple(sorted(set(uses.get(key, ())))),
-                    )
-                )
-            return frozenset(facts)
+            return _build_facts(self._solved(points), self.sources, self._incoming, converged)
 
         return TaintResult(
             sources=self.sources,
@@ -667,68 +708,33 @@ class TaintEngine:
 def propagate_intra(method: MethodIR, cfg: CFG, seeds: list[TaintFact]) -> set[TaintFact]:
     """Intra-procedural closure of seed facts over move chains.
 
-    Invokes are opaque here: a move-result kills unless the seed itself sits
-    at that definition. Seeds anchor at valid_range start (ENTRY_DEF when the
-    value is a parameter).
+    Invokes are opaque here: a move-result kills unless a seed sits at it.
+    A seed anchors at its valid_range start when that instruction writes
+    its register; otherwise it is live on entry.
     """
-    table = _FactTable()
-    origins = tuple(s.origin for s in seeds)
-    entry: dict[int, frozenset[FactKey]] = {}
-    inject: dict[int, list[tuple[int, FactKey]]] = {}
-    for i, seed in enumerate(seeds):
-        def_index = seed.valid_range[0] if seed.valid_range else 0
-        key = (method.signature, seed.register, def_index, i)
-        table.chains[key] = seed.chain
-        first = method.instructions[def_index] if method.instructions else None
-        if first is not None and written_register(first) == seed.register:
-            inject.setdefault(def_index, []).append((seed.register, key))
+    sig = method.signature
+    entry: dict[int, int] = {}
+    injected: dict[int, int] = {}  # index -> seed bits its write adds
+    roots: dict[FactKey, tuple[Step, ...]] = {}
+    for bit, seed in enumerate(seeds):
+        d = seed.valid_range[0] if seed.valid_range else 0
+        if 0 <= d < len(method.instructions) and (
+            written_register(method.instructions[d]) == seed.register
+        ):
+            injected[d] = injected.get(d, 0) | 1 << bit
         else:
-            entry[seed.register] = entry.get(seed.register, frozenset()) | {key}
+            d = ENTRY_DEF
+            entry[seed.register] = entry.get(seed.register, 0) | 1 << bit
+        roots.setdefault((sig, seed.register, d, bit), seed.chain)
 
-    injected = dict(inject)
+    def transfer(ins: Instruction, state: dict[int, int]) -> None:
+        _move_or_kill(ins, state)
+        if ins.index in injected:
+            state[ins.operands[0]] = state.get(ins.operands[0], 0) | injected[ins.index]
 
-    def invoke_result(sig, invoke, mr_index, dst, state):
-        for reg, key in injected.get(mr_index, []):
-            if reg == dst:
-                return frozenset([key])
-        return frozenset()
-
-    class _SeedSolver(_LocalSolver):
-        def _transfer(self, ins, state):
-            super()._transfer(ins, state)
-            for reg, key in injected.get(ins.index, []):
-                if ins.opcode is not Opcode.MOVE_RESULT:
-                    state[reg] = state.get(reg, frozenset()) | {key}
-
-    solver = _SeedSolver(method, cfg, table, entry, {}, invoke_result)
-    in_sets, _ = solver.solve()
-
-    live: dict[FactKey, list[int]] = {}
-    uses: dict[FactKey, list[int]] = {}
-    for i, state in enumerate(in_sets):
-        reads = read_registers(method.instructions[i])
-        for reg, fs in state.items():
-            for key in fs:
-                live.setdefault(key, []).append(i)
-                if reg in reads:
-                    uses.setdefault(key, []).append(i)
-    out: set[TaintFact] = set()
-    for key, chain in table.chains.items():
-        sig, reg, def_index, origin_index = key
-        indices = live.get(key, [])
-        start = max(def_index, 0)
-        end = max(indices) if indices else start
-        out.add(
-            TaintFact(
-                method=sig,
-                register=reg,
-                valid_range=(start, end),
-                origin=origins[origin_index],
-                chain=chain,
-                uses=tuple(sorted(set(uses.get(key, ())))),
-            )
-        )
-    return out
+    solved = {sig: _Solved(cfg, solve_blocks(cfg, entry, transfer), entry, transfer)}
+    origins = tuple(s.origin for s in seeds)
+    return set(_build_facts(solved, origins, lambda key, live: roots.get(key, []), exact=True))
 
 
 def propagate_inter(
@@ -740,12 +746,4 @@ def propagate_inter(
     deadline: float | None = None,
 ) -> TaintResult:
     """Whole-program taint fixpoint; see TaintEngine."""
-    engine = TaintEngine(
-        program,
-        cfgs,
-        call_graph,
-        sources,
-        max_method_passes=max_method_passes,
-        deadline=deadline,
-    )
-    return engine.solve()
+    return TaintEngine(program, cfgs, call_graph, sources, max_method_passes, deadline).solve()

@@ -1,5 +1,5 @@
 from devscan.graphs import build_call_graph, build_cfg, build_cfgs
-from devscan.ir import Program
+from devscan.ir import Opcode, Program, written_register
 from devscan.smali import parse_smali_class
 from devscan.taint import (
     UNKNOWN_KEY,
@@ -7,6 +7,7 @@ from devscan.taint import (
     Step,
     TaintEngine,
     TaintFact,
+    feeding_invoke,
     find_sources,
     propagate_inter,
     propagate_intra,
@@ -253,6 +254,35 @@ def test_round_trip_return_is_caller_return():
     f_sig = "Lt/RoundTrip;->f()V"
     chains = {f.register: f.chain for f in result.facts if f.method == f_sig}
     assert chains[1] == (Step.PARAM_IN, Step.CALLER_RETURN)
+
+
+def test_fact_chains_well_formed(all_fixture_ids):
+    """Each fact's chain ends in the step its defining instruction implies."""
+    returns = {Step.LIB_RETURN, Step.CALLEE_RETURN, Step.CALLER_RETURN}
+    checked = 0
+    for fid in all_fixture_ids:
+        if fid == "budget_bomb":
+            continue
+        run = corpus_run(fid)
+        for fact in run.taint.facts:
+            method = run.cfgs[fact.method].method
+            start = fact.valid_range[0]
+            ins = method.instructions[start]
+            origin = fact.origin
+            if written_register(ins) != fact.register:  # live on entry
+                assert fact.chain[-1:] == (Step.PARAM_IN,), fact
+            elif origin.method == fact.method and origin.index in (
+                start,
+                feeding_invoke(method, start),
+            ):
+                assert fact.chain == (), fact
+            elif ins.opcode is Opcode.MOVE:
+                assert fact.chain[-1:] == (Step.MOVE,), fact
+            else:
+                assert ins.opcode is Opcode.MOVE_RESULT, fact
+                assert fact.chain[-1:] and fact.chain[-1] in returns, fact
+            checked += 1
+    assert checked > 50
 
 
 def test_monotone_in_sources(all_fixture_ids):

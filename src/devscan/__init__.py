@@ -30,7 +30,7 @@ from .devicedb import (
     match_identifier,
     property_key_for,
 )
-from .graphs import CFG, CallGraph, build_call_graph, build_cfg, build_cfgs, immediate_postdominator
+from .graphs import CFG, CallGraph, build_call_graph, build_cfg, build_cfgs
 from .ir import ClassDef, Instruction, MethodIR, Opcode, Program
 from .report import AppReport, Budgets, CorpusReport, aggregate, analyze_app, attribute_sources
 from .rules import (
@@ -43,14 +43,7 @@ from .rules import (
     suggest_keywords,
 )
 from .smali import load_program, parse_smali_class, print_smali_class
-from .taint import (
-    DeviceInfoSource,
-    TaintFact,
-    TaintResult,
-    find_sources,
-    propagate_inter,
-    propagate_intra,
-)
+from .taint import DeviceInfoSource, TaintFact, TaintResult, find_sources
 
 __all__ = [
     "ApkEntryList",
@@ -95,7 +88,6 @@ __all__ = [
     "find_device_guards",
     "find_guard_sites",
     "find_sources",
-    "immediate_postdominator",
     "list_apk_entries",
     "load_device_db",
     "load_packer_signatures",
@@ -104,8 +96,6 @@ __all__ = [
     "match_identifier",
     "parse_smali_class",
     "print_smali_class",
-    "propagate_inter",
-    "propagate_intra",
     "property_key_for",
     "suggest_keywords",
 ]

@@ -15,7 +15,6 @@ from .ir import (
     Instruction,
     MethodIR,
     Opcode,
-    Program,
     descriptor_to_dotted,
 )
 from .taint import (
@@ -168,82 +167,74 @@ def _may_hold_sites(taint: TaintResult, sig: str, cfg: CFG) -> bool:
     )
 
 
-def find_guard_sites(
-    taint: TaintResult, cfgs: dict[str, CFG], rds: dict[str, ReachingDefs] | None = None
-) -> list[GuardSite]:
-    """Branches whose condition depends on device information.
+def find_guard_sites(taint: TaintResult, cfg: CFG, rd: ReachingDefs) -> list[GuardSite]:
+    """Branches of one method whose condition depends on device information.
 
     A site is either an if on a register holding the boolean of a string
     comparison with a tainted operand, or an if directly on a tainted
     register (reference_eq). The comparison form wins when both apply.
-    Methods where no if or comparison reads a tainted register are skipped.
-    ``rds`` holds, by signature, reaching definitions the caller already has.
+    ``rd`` is the method's reaching definitions.
     """
+    method = cfg.method
+    sig = method.signature
     sites: list[GuardSite] = []
-    for sig, cfg in sorted(cfgs.items()):
-        if not _may_hold_sites(taint, sig, cfg):
+    for ins in method.instructions:
+        if ins.opcode not in IF_OPCODES:
             continue
-        method = cfg.method
-        rd = (rds or {}).get(sig) or reaching_definitions(method, cfg)
-        for ins in method.instructions:
-            if ins.opcode not in IF_OPCODES:
-                continue
-            site = None
-            tainted_here = taint.tainted_registers(sig, ins.index)
-            for reg in ins.operands:
-                defs = def_closure(method, rd, ins.index, reg)
-                for d in sorted(x for x in defs if x >= 0):
-                    if method.instructions[d].opcode is not Opcode.MOVE_RESULT:
-                        continue
-                    invoke_index = feeding_invoke(method, d)
-                    if invoke_index is None:
-                        continue
-                    cmp = _comparison_invoke(method, invoke_index)
-                    if cmp is None:
-                        continue
-                    kind, invoke = cmp
-                    side = _tainted_side(taint, sig, invoke)
-                    if side is None:
-                        continue
+        site = None
+        tainted_here = taint.tainted_registers(sig, ins.index)
+        for reg in ins.operands:
+            defs = def_closure(method, rd, ins.index, reg)
+            for d in sorted(x for x in defs if x >= 0):
+                if method.instructions[d].opcode is not Opcode.MOVE_RESULT:
+                    continue
+                invoke_index = feeding_invoke(method, d)
+                if invoke_index is None:
+                    continue
+                cmp = _comparison_invoke(method, invoke_index)
+                if cmp is None:
+                    continue
+                kind, invoke = cmp
+                side = _tainted_side(taint, sig, invoke)
+                if side is None:
+                    continue
+                site = GuardSite(
+                    method=sig,
+                    branch_instruction=ins.index,
+                    comparison=kind,
+                    tainted_operand_side=side,
+                    condition_register=reg,
+                    comparison_call=invoke_index,
+                )
+                break
+            if site:
+                break
+        if site is None:
+            for pos, reg in enumerate(ins.operands):
+                if reg in tainted_here:
+                    side = OperandSide.RECEIVER if pos == 0 else OperandSide.ARGUMENT
                     site = GuardSite(
                         method=sig,
                         branch_instruction=ins.index,
-                        comparison=kind,
+                        comparison=ComparisonKind.REFERENCE_EQ,
                         tainted_operand_side=side,
                         condition_register=reg,
-                        comparison_call=invoke_index,
                     )
                     break
-                if site:
-                    break
-            if site is None:
-                for pos, reg in enumerate(ins.operands):
-                    if reg in tainted_here:
-                        side = OperandSide.RECEIVER if pos == 0 else OperandSide.ARGUMENT
-                        site = GuardSite(
-                            method=sig,
-                            branch_instruction=ins.index,
-                            comparison=ComparisonKind.REFERENCE_EQ,
-                            tainted_operand_side=side,
-                            condition_register=reg,
-                        )
-                        break
-            if site is not None:
-                sites.append(site)
+        if site is not None:
+            sites.append(site)
     return sites
 
 
-def collect_guard_strings(
-    site: GuardSite, method: MethodIR, cfg: CFG, rd: ReachingDefs | None = None
-) -> list[str]:
+def collect_guard_strings(site: GuardSite, cfg: CFG, rd: ReachingDefs) -> list[str]:
     """Const-strings semantically tied to the guard's condition.
 
     Collects literals flowing into the comparison call's operands, plus
     every literal defined in the site's basic block or in any block holding
     a definition on the chain feeding the condition register. ``rd`` is the
-    method's reaching definitions, computed here when not given.
+    method's reaching definitions.
     """
-    rd = rd if rd is not None else reaching_definitions(method, cfg)
+    method = cfg.method
     out: list[str] = []
     seen: set[str] = set()
 
@@ -347,7 +338,6 @@ def extract_region(
     guard: DeviceGuard,
     cfgs: dict[str, CFG],
     call_graph: CallGraph,
-    program: Program,
     max_methods: int | None = None,
 ) -> BehaviorSnippet:
     """Extract both branch arms plus transitively reachable callees.
@@ -355,9 +345,10 @@ def extract_region(
     An arm is the set of blocks reachable from its branch edge without
     passing the condition block's immediate postdominator; blocks shared by
     both arms are treated as common continuation and dropped from each.
-    Called methods with bodies are followed to a fixpoint; unresolved
-    callees accumulate as system methods. The walk is unbounded unless
-    ``max_methods`` caps it; a capped walk marks the snippet truncated.
+    Called methods with bodies, those in ``cfgs``, are followed to a
+    fixpoint; unresolved callees accumulate as system methods. The walk is
+    unbounded unless ``max_methods`` caps it; a capped walk marks the
+    snippet truncated.
     """
     site = guard.site
     cfg = cfgs[site.method]
@@ -427,10 +418,8 @@ def extract_region(
             truncated = True
             break
         reachable.add(callee)
-        target = program.find_method(callee)
-        if target is None or not target.has_body:
-            continue
-        work.extend(scan(target.instructions, callee))
+        if callee in cfgs:
+            work.extend(scan(cfgs[callee].method.instructions, callee))
 
     packages = {descriptor_to_dotted(method.owner).rsplit(".", 1)[0] if "." in descriptor_to_dotted(method.owner) else ""}
     for sig in reachable:
@@ -459,14 +448,15 @@ def find_device_guards(
     db: DeviceInfoDB,
 ) -> list[DeviceGuard]:
     """find_guard_sites + collect_guard_strings + confirm_device_guard, one
-    method at a time, sharing the method's reaching definitions between them."""
+    method at a time, sharing the method's reaching definitions between them.
+    Methods where no if or comparison reads a tainted register are skipped."""
     guards: list[DeviceGuard] = []
     for sig, cfg in sorted(cfgs.items()):
         if not _may_hold_sites(taint, sig, cfg):
             continue
         rd = reaching_definitions(cfg.method, cfg)
-        for site in find_guard_sites(taint, {sig: cfg}, {sig: rd}):
-            strings = collect_guard_strings(site, cfg.method, cfg, rd)
+        for site in find_guard_sites(taint, cfg, rd):
+            strings = collect_guard_strings(site, cfg, rd)
             guard = confirm_device_guard(site, strings, db)
             if guard is not None:
                 guards.append(guard)

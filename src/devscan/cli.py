@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from .apk import ApkError, load_packer_signatures
 from .devicedb import DeviceDbError, load_device_db, merge_device_dbs
 from .graphs import build_call_graph, build_cfgs, call_graph_to_dot, cfg_to_dot
 from .report import (
+    AppReport,
     Budgets,
     Status,
     aggregate,
@@ -94,15 +96,25 @@ def _batch_row(row: tuple[str, str, str | None, str], args_dict: dict) -> dict:
     app_id, smali_root, apk, market = row
     db = load_device_db(args_dict["db"]) if args_dict["db"] else None
     rules = load_rules(args_dict["rules"]) if args_dict["rules"] else None
-    report = analyze_app(
-        smali_root,
-        apk=apk,
-        db=db,
-        rules=rules,
-        budgets=Budgets(wall_clock_seconds=args_dict["timeout"]),
-        app_id=app_id,
-        market=market,
-    )
+    try:
+        report = analyze_app(
+            smali_root,
+            apk=apk,
+            db=db,
+            rules=rules,
+            budgets=Budgets(wall_clock_seconds=args_dict["timeout"]),
+            app_id=app_id,
+            market=market,
+        )
+    except Exception as exc:  # one bad app must not take the batch down
+        print(f"devscan: {app_id}: internal error", file=sys.stderr)
+        traceback.print_exc()
+        report = AppReport(
+            app_id=app_id,
+            market=market,
+            analysis_status=Status.FAILED,
+            failure_reason=f"internal: {type(exc).__name__}: {exc}",
+        )
     out_path = Path(args_dict["out_dir"]) / f"{app_id}.json"
     save_report(report, out_path)
     return {"app_id": app_id, "status": report.analysis_status, "out": str(out_path)}
@@ -110,6 +122,7 @@ def _batch_row(row: tuple[str, str, str | None, str], args_dict: dict) -> dict:
 
 def _parse_manifest(path: Path) -> list[tuple[str, str, str | None, str]]:
     rows = []
+    first_line: dict[str, int] = {}
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -120,6 +133,12 @@ def _parse_manifest(path: Path) -> list[tuple[str, str, str | None, str]]:
         app_id, smali_root = parts[0], parts[1]
         if app_id in ("", ".", "..") or "/" in app_id or "\\" in app_id:
             raise ValueError(f"{path} line {line_no}: bad app_id {app_id!r}, not a file name")
+        if app_id in first_line:
+            raise ValueError(
+                f"{path} line {line_no}: bad app_id {app_id!r}, "
+                f"already on line {first_line[app_id]}"
+            )
+        first_line[app_id] = line_no
         apk = parts[2] if len(parts) > 2 and parts[2] else None
         market = parts[3] if len(parts) > 3 and parts[3] else "default"
         rows.append((app_id, smali_root, apk, market))

@@ -94,13 +94,11 @@ class DeviceInfoDB:
         os_names: dict[str, str],
         models: dict[str, str],
         overlap_whitelist: frozenset[str] = frozenset(),
-        loaded_rows: int = 0,
     ):
         self.brands = brands
         self.os_names = os_names
         self.models = models
         self.overlap_whitelist = overlap_whitelist
-        self.loaded_rows = loaded_rows
         self._validate()
 
     def _validate(self) -> None:
@@ -161,7 +159,6 @@ def parse_device_db(text: str, origin: str = "<db>") -> DeviceInfoDB:
         os_names=groups[IdentifierKind.OS],
         models=groups[IdentifierKind.MODEL],
         overlap_whitelist=frozenset(whitelist),
-        loaded_rows=rows,
     )
 
 
@@ -182,7 +179,6 @@ def merge_device_dbs(dbs: list[DeviceInfoDB]) -> DeviceInfoDB:
     os_names: dict[str, str] = {}
     models: dict[str, str] = {}
     whitelist: set[str] = set()
-    rows = 0
     for db in dbs:
         for canon, orig in db.brands.items():
             brands.setdefault(canon, orig)
@@ -191,8 +187,7 @@ def merge_device_dbs(dbs: list[DeviceInfoDB]) -> DeviceInfoDB:
         for canon, orig in db.models.items():
             models.setdefault(canon, orig)
         whitelist |= db.overlap_whitelist
-        rows += db.loaded_rows
-    return DeviceInfoDB(brands, os_names, models, frozenset(whitelist), rows)
+    return DeviceInfoDB(brands, os_names, models, frozenset(whitelist))
 
 
 def match_identifier(candidate: str, db: DeviceInfoDB) -> list[IdentifierMatch]:

@@ -127,11 +127,6 @@ def immediate_postdominators(cfg: CFG) -> dict[int, int]:
     return _ipdoms_from_edges(len(cfg.blocks), succs, exits)
 
 
-def immediate_postdominator(cfg: CFG, bid: int) -> int:
-    """ipdom of one block; EXIT names the synthetic exit node."""
-    return immediate_postdominators(cfg)[bid]
-
-
 def _ipdoms_from_edges(
     nblocks: int, succs: dict[int, list[int]], exits: list[int]
 ) -> dict[int, int]:
@@ -199,7 +194,6 @@ class CallEdge:
 
 @dataclass
 class CallGraph:
-    nodes: frozenset[str]
     edges: tuple[CallEdge, ...]
 
     def __post_init__(self) -> None:
@@ -243,7 +237,6 @@ def resolve_call(program: Program, owner: str, name: str, descriptor: str) -> Me
 def build_call_graph(program: Program) -> CallGraph:
     """One edge per invoke instruction; unresolved callees are data."""
     edges: list[CallEdge] = []
-    nodes = {m.signature for m in program.methods()}
     for cls in program.classes:
         for method in cls.methods:
             for ins in method.instructions:
@@ -260,7 +253,7 @@ def build_call_graph(program: Program) -> CallGraph:
                     edges.append(
                         CallEdge(method.signature, ins.index, ref.signature, False)
                     )
-    return CallGraph(nodes=frozenset(nodes), edges=tuple(edges))
+    return CallGraph(edges=tuple(edges))
 
 
 def build_cfgs(program: Program) -> dict[str, CFG]:

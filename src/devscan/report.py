@@ -209,14 +209,13 @@ def analyze_app(
 
     cfgs = build_cfgs(program)
     call_graph = build_call_graph(program)
-    sources = find_sources(program, cfgs=cfgs)
+    sources = find_sources(program, cfgs)
     counts: dict[str, int] = {}
     for src in sources:
         counts[src.kind.value] = counts.get(src.kind.value, 0) + 1
     report.source_counts = dict(sorted(counts.items()))
 
     engine = TaintEngine(
-        program,
         cfgs,
         call_graph,
         sources,
@@ -236,9 +235,7 @@ def analyze_app(
     models: set[str] = set()
     functionalities: set[str] = set()
     for guard in guards:
-        snippet = extract_region(
-            guard, cfgs, call_graph, program, max_methods=budgets.region_methods
-        )
+        snippet = extract_region(guard, cfgs, call_graph, max_methods=budgets.region_methods)
         cats = categories_of(snippet, rules)
         report.snippets.append(_snippet_dict(snippet, cats))
         functionalities.update(cats if cats else [UNCLASSIFIED])

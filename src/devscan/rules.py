@@ -33,7 +33,6 @@ class Rule:
 @dataclass
 class RuleSet:
     rules: tuple[Rule, ...]
-    version: str = "1"
 
     def __post_init__(self) -> None:
         seen: set[tuple[str, str]] = set()
@@ -52,7 +51,7 @@ class RuleSet:
         return sorted(self.category_index)
 
 
-def parse_rules(text: str, origin: str = "<rules>", version: str = "1") -> RuleSet:
+def parse_rules(text: str, origin: str = "<rules>") -> RuleSet:
     """Parse `category | keyword | behavior_type [| notes]` rows."""
     rules: list[Rule] = []
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -77,7 +76,7 @@ def parse_rules(text: str, origin: str = "<rules>", version: str = "1") -> RuleS
         rules.append(Rule(category, keyword, behavior_type, notes))
     if not rules:
         raise RuleError(f"{origin}: no rules loaded")
-    return RuleSet(rules=tuple(rules), version=version)
+    return RuleSet(rules=tuple(rules))
 
 
 def load_rules(path: str | Path) -> RuleSet:
@@ -156,7 +155,6 @@ def _is_system_method(signature: str, prefixes: tuple[str, ...]) -> bool:
 class SnippetCluster:
     key: tuple[str, ...]  # sorted system-method signatures
     members: tuple[int, ...]  # indices into the clustered snippet list
-    suggested_keywords: tuple[str, ...] = ()
 
 
 def cluster_by_system_methods(

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import NamedTuple
 
-from .devicedb import DEFAULT_SOURCE_SPECS, SourceSpec
-from .graphs import CFG, CallGraph, build_cfg
+from .devicedb import DEFAULT_SOURCE_SPECS
+from .graphs import CFG, CallGraph
 from .ir import (
     INVOKE_OPCODES,
     Instruction,
@@ -224,25 +223,21 @@ def result_register(method: MethodIR, invoke_index: int) -> tuple[int, int] | No
 # ---------------------------------------------------------------------------
 # source discovery
 
-def find_sources(
-    program: Program,
-    specs: tuple[SourceSpec, ...] = DEFAULT_SOURCE_SPECS,
-    cfgs: dict[str, CFG] | None = None,
-) -> list[DeviceInfoSource]:
+def find_sources(program: Program, cfgs: dict[str, CFG]) -> list[DeviceInfoSource]:
     """Locate every device-information read in the program.
 
-    Reports Build field reads for the configured fields, direct
+    Reports Build field reads of the DEFAULT_SOURCE_SPECS fields, direct
     SystemProperties.get invokes, and the reflective
     Class.forName / getMethod("get") / Method.invoke pattern when all three
     pieces sit in one method body. Property keys are recovered from
     const-strings reaching the call, otherwise UNKNOWN_KEY.
     """
-    wanted_fields = {s.build_field for s in specs}
+    wanted_fields = {s.build_field for s in DEFAULT_SOURCE_SPECS}
     sources: list[DeviceInfoSource] = []
     for method in program.methods():
         if not method.has_body:
             continue
-        cfg = (cfgs or {}).get(method.signature) or build_cfg(method)
+        cfg = cfgs[method.signature]
         rd: ReachingDefs | None = None
 
         def lazy_rd() -> ReachingDefs:
@@ -392,113 +387,6 @@ def _store(state: dict[int, int], reg: int, mask: int) -> None:
         state.pop(reg, None)
 
 
-def _move_or_kill(ins: Instruction, state: dict[int, int]) -> None:
-    """A move copies its source's mask; any other write kills."""
-    if ins.opcode is Opcode.MOVE:
-        _store(state, ins.operands[0], state.get(ins.operands[1], 0))
-    elif (w := written_register(ins)) is not None:
-        state.pop(w, None)
-
-
-class _Solved(NamedTuple):
-    """One method's solved masks and the inputs that produced them."""
-
-    cfg: CFG
-    in_sets: list[Mapping[int, int]]
-    entry: dict[int, int]
-    transfer: Transfer
-
-    def definitions(self) -> Iterator[tuple[int, int, int]]:
-        """(register, definition index, written mask) of each tainted definition."""
-        yield from ((reg, ENTRY_DEF, mask) for reg, mask in self.entry.items())
-        for ins in self.cfg.method.instructions:
-            if (w := written_register(ins)) is not None:
-                state = dict(self.in_sets[ins.index])
-                self.transfer(ins, state)
-                if w in state:
-                    yield w, ins.index, state[w]
-
-
-def _build_facts(
-    solved: dict[str, _Solved],
-    origins: Sequence[DeviceInfoSource],
-    incoming: Callable[[FactKey, Callable], tuple[Step, ...] | list[Derivation]],
-    exact: bool,
-) -> frozenset[TaintFact]:
-    """TaintFacts of solved methods, one per definition and origin bit.
-
-    ``incoming(key, live)`` gives a fact's chain when the fact is a root,
-    else its parents other than a move's source; ``live(method, register,
-    index, origin)`` lists the facts reaching an instruction. A chain
-    follows a shortest derivation from a root, ties going to the smallest
-    parent key. With ``exact`` a valid range ends at the last point its
-    definition reaches and ``uses`` lists the points reading it; a partial
-    result keeps both coarse.
-    """
-    keys = {
-        (sig, reg, d, origin)
-        for sig, method in solved.items()
-        for reg, d, mask in method.definitions()
-        for origin in _bits(mask)
-    }
-    rds: dict[str, ReachingDefs] = {}
-    for sig in {key[0] for key in keys}:
-        cfg, _, entry, _ = solved[sig]
-        defs = {r: frozenset([ENTRY_DEF]) for r in {*cfg.method.param_registers(), *entry}}
-        rds[sig] = solve_blocks(cfg, defs, _define)
-
-    def live(sig: str, reg: int, index: int, origin: int) -> list[FactKey]:
-        defs = rds[sig][index].get(reg, ()) if sig in rds else ()
-        return [key for d in defs if (key := (sig, reg, d, origin)) in keys]
-
-    chains: dict[FactKey, tuple[Step, ...]] = {}
-    parents: dict[FactKey, list[Derivation]] = {}
-    children: dict[FactKey, list[FactKey]] = {}
-    for key in keys:
-        found = incoming(key, live)
-        if isinstance(found, tuple):
-            chains[key] = found
-            continue
-        sig, _, d, origin = key
-        ins = solved[sig].cfg.method.instructions[d] if d != ENTRY_DEF else None
-        if ins is not None and ins.opcode is Opcode.MOVE:
-            found += [(k, Step.MOVE) for k in live(sig, ins.operands[1], d, origin)]
-        parents[key] = found
-        for parent, _ in found:
-            children.setdefault(parent, []).append(key)
-    frontier = list(chains)
-    while frontier:
-        layer: dict[FactKey, tuple[Step, ...]] = {}
-        for key in {c for p in frontier for c in children.get(p, ()) if c not in chains}:
-            parent, step = min(
-                ((p, s) for p, s in parents[key] if p in chains), key=lambda ps: ps[0]
-            )
-            if step is None:
-                step = Step.CALLER_RETURN if Step.PARAM_IN in chains[parent] else Step.CALLEE_RETURN
-            layer[key] = chains[parent] + (step,)
-        chains.update(layer)
-        frontier = list(layer)
-
-    live_at: dict[tuple[str, int, int], list[int]] = {}
-    read_at: dict[tuple[str, int, int], list[int]] = {}
-    for sig, rd in rds.items() if exact else ():
-        instructions = solved[sig].cfg.method.instructions
-        for i, state in enumerate(rd):
-            reads = read_registers(instructions[i])
-            for reg, defs in state.items():
-                for d in defs:
-                    live_at.setdefault((sig, reg, d), []).append(i)
-                    if reg in reads:
-                        read_at.setdefault((sig, reg, d), []).append(i)
-    facts = set()
-    for (sig, reg, d, origin), chain in chains.items():
-        start = max(d, 0)
-        end = max(live_at.get((sig, reg, d), [start]))
-        uses = tuple(read_at.get((sig, reg, d), ()))
-        facts.add(TaintFact(sig, reg, (start, end), origins[origin], chain, uses))
-    return frozenset(facts)
-
-
 class TaintEngine:
     """Worklist fixpoint over per-method passes.
 
@@ -509,14 +397,12 @@ class TaintEngine:
 
     def __init__(
         self,
-        program: Program,
         cfgs: dict[str, CFG],
         call_graph: CallGraph,
         sources: list[DeviceInfoSource],
         max_method_passes: int | None = None,
         deadline: float | None = None,
     ):
-        self.program = program
         self.cfgs = cfgs
         self.call_graph = call_graph
         self.sources = tuple(sources)
@@ -564,8 +450,10 @@ class TaintEngine:
                 _store(state, ins.operands[0], self._result_mask(sig, method, ins.index, state))
             elif op is Opcode.SGET_OBJECT:
                 _store(state, ins.operands[0], sget_bits.get(ins.index, 0))
-            else:
-                _move_or_kill(ins, state)
+            elif op is Opcode.MOVE:
+                _store(state, ins.operands[0], state.get(ins.operands[1], 0))
+            elif (w := written_register(ins)) is not None:
+                state.pop(w, None)  # any other write kills
 
         return transfer
 
@@ -640,8 +528,8 @@ class TaintEngine:
 
         def register_masks() -> dict[tuple[str, int], int]:
             masks: dict[tuple[str, int], int] = {}
-            for sig, method in self._solved(self.solutions).items():
-                for reg, _, mask in method.definitions():
+            for sig, in_sets in self.solutions.items():
+                for reg, _, mask in self._definitions(sig, in_sets):
                     masks[(sig, reg)] = masks.get((sig, reg), 0) | mask
             return masks
 
@@ -652,11 +540,19 @@ class TaintEngine:
 
     # -- facts --------------------------------------------------------------
 
-    def _solved(self, points: dict[str, list[Mapping[int, int]]]) -> dict[str, _Solved]:
-        return {
-            sig: _Solved(self.cfgs[sig], in_sets, self.entry_facts.get(sig, {}), self._transfer(sig))
-            for sig, in_sets in points.items()
-        }
+    def _definitions(
+        self, sig: str, in_sets: list[Mapping[int, int]]
+    ) -> Iterator[tuple[int, int, int]]:
+        """(register, definition index, written mask) of each tainted
+        definition of a method whose pass left ``in_sets``."""
+        yield from ((reg, ENTRY_DEF, mask) for reg, mask in self.entry_facts.get(sig, {}).items())
+        transfer = self._transfer(sig)
+        for ins in self.cfgs[sig].method.instructions:
+            if (w := written_register(ins)) is not None:
+                state = dict(in_sets[ins.index])
+                transfer(ins, state)
+                if w in state:
+                    yield w, ins.index, state[w]
 
     def _incoming(self, key: FactKey, live: Callable) -> tuple[Step, ...] | list[Derivation]:
         """() for a fact a source read creates; else its parameter or
@@ -690,60 +586,86 @@ class TaintEngine:
             for k in live(sig, arg, d, origin)
         ]
 
+    def _facts(
+        self, points: dict[str, list[Mapping[int, int]]], exact: bool
+    ) -> frozenset[TaintFact]:
+        """TaintFacts of the solved methods, one per definition and origin bit.
+
+        A chain follows a shortest derivation from a source read, ties going
+        to the smallest parent key. With ``exact`` a valid range ends at the
+        last point its definition reaches and ``uses`` lists the points
+        reading it; a partial result keeps both coarse.
+        """
+        keys = {
+            (sig, reg, d, origin)
+            for sig, in_sets in points.items()
+            for reg, d, mask in self._definitions(sig, in_sets)
+            for origin in _bits(mask)
+        }
+        rds: dict[str, ReachingDefs] = {}
+        for sig in {key[0] for key in keys}:
+            cfg, entry = self.cfgs[sig], self.entry_facts.get(sig, {})
+            defs = {r: frozenset([ENTRY_DEF]) for r in {*cfg.method.param_registers(), *entry}}
+            rds[sig] = solve_blocks(cfg, defs, _define)
+
+        def live(sig: str, reg: int, index: int, origin: int) -> list[FactKey]:
+            """The facts of (register, origin) reaching an instruction."""
+            defs = rds[sig][index].get(reg, ()) if sig in rds else ()
+            return [key for d in defs if (key := (sig, reg, d, origin)) in keys]
+
+        chains: dict[FactKey, tuple[Step, ...]] = {}
+        parents: dict[FactKey, list[Derivation]] = {}
+        children: dict[FactKey, list[FactKey]] = {}
+        for key in keys:
+            found = self._incoming(key, live)
+            if isinstance(found, tuple):
+                chains[key] = found
+                continue
+            sig, _, d, origin = key
+            ins = self.cfgs[sig].method.instructions[d] if d != ENTRY_DEF else None
+            if ins is not None and ins.opcode is Opcode.MOVE:
+                found += [(k, Step.MOVE) for k in live(sig, ins.operands[1], d, origin)]
+            parents[key] = found
+            for parent, _ in found:
+                children.setdefault(parent, []).append(key)
+        frontier = list(chains)
+        while frontier:
+            layer: dict[FactKey, tuple[Step, ...]] = {}
+            for key in {c for p in frontier for c in children.get(p, ()) if c not in chains}:
+                parent, step = min(
+                    ((p, s) for p, s in parents[key] if p in chains), key=lambda ps: ps[0]
+                )
+                if step is None:
+                    step = Step.CALLER_RETURN if Step.PARAM_IN in chains[parent] else Step.CALLEE_RETURN
+                layer[key] = chains[parent] + (step,)
+            chains.update(layer)
+            frontier = list(layer)
+
+        live_at: dict[tuple[str, int, int], list[int]] = {}
+        read_at: dict[tuple[str, int, int], list[int]] = {}
+        for sig, rd in rds.items() if exact else ():
+            instructions = self.cfgs[sig].method.instructions
+            for i, state in enumerate(rd):
+                reads = read_registers(instructions[i])
+                for reg, defs in state.items():
+                    for d in defs:
+                        live_at.setdefault((sig, reg, d), []).append(i)
+                        if reg in reads:
+                            read_at.setdefault((sig, reg, d), []).append(i)
+        facts = set()
+        for (sig, reg, d, origin), chain in chains.items():
+            start = max(d, 0)
+            end = max(live_at.get((sig, reg, d), [start]))
+            uses = tuple(read_at.get((sig, reg, d), ()))
+            facts.add(TaintFact(sig, reg, (start, end), self.sources[origin], chain, uses))
+        return frozenset(facts)
+
     def _build_result(self, converged: bool) -> TaintResult:
         points = dict(self.solutions)
-
-        def build_facts() -> frozenset[TaintFact]:
-            return _build_facts(self._solved(points), self.sources, self._incoming, converged)
-
         return TaintResult(
             sources=self.sources,
             iterations=self.iterations,
             converged=converged,
             _points=points,
-            _build_facts=build_facts,
+            _build_facts=lambda: self._facts(points, converged),
         )
-
-
-def propagate_intra(method: MethodIR, cfg: CFG, seeds: list[TaintFact]) -> set[TaintFact]:
-    """Intra-procedural closure of seed facts over move chains.
-
-    Invokes are opaque here: a move-result kills unless a seed sits at it.
-    A seed anchors at its valid_range start when that instruction writes
-    its register; otherwise it is live on entry.
-    """
-    sig = method.signature
-    entry: dict[int, int] = {}
-    injected: dict[int, int] = {}  # index -> seed bits its write adds
-    roots: dict[FactKey, tuple[Step, ...]] = {}
-    for bit, seed in enumerate(seeds):
-        d = seed.valid_range[0] if seed.valid_range else 0
-        if 0 <= d < len(method.instructions) and (
-            written_register(method.instructions[d]) == seed.register
-        ):
-            injected[d] = injected.get(d, 0) | 1 << bit
-        else:
-            d = ENTRY_DEF
-            entry[seed.register] = entry.get(seed.register, 0) | 1 << bit
-        roots.setdefault((sig, seed.register, d, bit), seed.chain)
-
-    def transfer(ins: Instruction, state: dict[int, int]) -> None:
-        _move_or_kill(ins, state)
-        if ins.index in injected:
-            state[ins.operands[0]] = state.get(ins.operands[0], 0) | injected[ins.index]
-
-    solved = {sig: _Solved(cfg, solve_blocks(cfg, entry, transfer), entry, transfer)}
-    origins = tuple(s.origin for s in seeds)
-    return set(_build_facts(solved, origins, lambda key, live: roots.get(key, []), exact=True))
-
-
-def propagate_inter(
-    program: Program,
-    cfgs: dict[str, CFG],
-    call_graph: CallGraph,
-    sources: list[DeviceInfoSource],
-    max_method_passes: int | None = None,
-    deadline: float | None = None,
-) -> TaintResult:
-    """Whole-program taint fixpoint; see TaintEngine."""
-    return TaintEngine(program, cfgs, call_graph, sources, max_method_passes, deadline).solve()

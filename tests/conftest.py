@@ -6,7 +6,7 @@ from devscan import fixtures as corpus
 from devscan.devicedb import default_device_db
 from devscan.graphs import build_call_graph, build_cfgs
 from devscan.rules import default_rules
-from devscan.taint import find_sources, propagate_inter
+from devscan.taint import TaintEngine, find_sources
 
 
 class CorpusRun:
@@ -18,10 +18,8 @@ class CorpusRun:
         self.program = fixture.load()
         self.cfgs = build_cfgs(self.program)
         self.call_graph = build_call_graph(self.program)
-        self.sources = find_sources(self.program, cfgs=self.cfgs)
-        self.taint = propagate_inter(
-            self.program, self.cfgs, self.call_graph, self.sources
-        )
+        self.sources = find_sources(self.program, self.cfgs)
+        self.taint = TaintEngine(self.cfgs, self.call_graph, self.sources).solve()
 
 
 _runs: dict[str, CorpusRun] = {}

@@ -23,7 +23,7 @@ from devscan.report import (
     merge_corpus_reports,
 )
 from devscan.rules import cluster_by_system_methods
-from devscan.taint import SourceKind, TaintEngine, propagate_inter
+from devscan.taint import SourceKind, TaintEngine
 from tests.conftest import corpus_run
 from tests.test_graphs import _oracle_ipdoms
 
@@ -176,9 +176,9 @@ def test_c7_invariant_suite(device_db, rules):
         run = corpus_run(fid)
         if len(run.sources) < 2:
             continue
-        partial = propagate_inter(
-            run.program, run.cfgs, run.call_graph, run.sources[: len(run.sources) // 2]
-        )
+        partial = TaintEngine(
+            run.cfgs, run.call_graph, run.sources[: len(run.sources) // 2]
+        ).solve()
         for sig in run.taint.per_point():
             for i, regs in partial.per_point()[sig].items():
                 assert regs <= run.taint.per_point()[sig][i]
@@ -186,7 +186,7 @@ def test_c7_invariant_suite(device_db, rules):
     # fixpoint idempotence
     for fid in corpus_ids():
         run = corpus_run(fid)
-        engine = TaintEngine(run.program, run.cfgs, run.call_graph, run.sources)
+        engine = TaintEngine(run.cfgs, run.call_graph, run.sources)
         assert engine.solve().converged
         assert engine.sweep_once() == 0, fid
 
@@ -196,7 +196,7 @@ def test_c7_invariant_suite(device_db, rules):
         run = corpus_run(fid)
         total_methods = sum(1 for _ in run.program.methods())
         for guard in find_device_guards(run.taint, run.cfgs, device_db):
-            snippet = extract_region(guard, run.cfgs, run.call_graph, run.program)
+            snippet = extract_region(guard, run.cfgs, run.call_graph)
             assert len(snippet.reachable_methods) <= total_methods
             taken = {
                 i for s, e in snippet.region["taken"] for i in range(s, e + 1)

@@ -11,14 +11,34 @@ from devscan.behavior import (
     find_device_guards,
     find_guard_sites,
 )
+from devscan.taint import reaching_definitions
 from tests.conftest import corpus_run
 
 OPPO_SSP = "Lcom/fixtures/oppo/PermissionPage;->startSettingPage(Landroid/content/Context;)V"
 
 
+def rd_of(run, sig):
+    cfg = run.cfgs[sig]
+    return reaching_definitions(cfg.method, cfg)
+
+
+def sites_in(run, sigs):
+    return [
+        site
+        for sig in sorted(sigs)
+        for site in find_guard_sites(run.taint, run.cfgs[sig], rd_of(run, sig))
+    ]
+
+
+def guard_strings(run, site):
+    return collect_guard_strings(site, run.cfgs[site.method], rd_of(run, site.method))
+
+
 def guard_sites_of(fid):
+    """Sites as find_device_guards finds them: in the methods it searches."""
     run = corpus_run(fid)
-    return run, find_guard_sites(run.taint, run.cfgs)
+    searched = [sig for sig, cfg in run.cfgs.items() if behavior._may_hold_sites(run.taint, sig, cfg)]
+    return run, sites_in(run, searched)
 
 
 # -- find_guard_sites -----------------------------------------------------------
@@ -78,34 +98,42 @@ def test_reaching_definitions_once_per_method(device_db, monkeypatch, fid, expec
     assert len(calls) == expected
 
 
+def test_site_filter_drops_no_site(all_fixture_ids):
+    """The methods find_device_guards skips hold no guard site."""
+    found = 0
+    for fid in all_fixture_ids:
+        if fid == "budget_bomb":
+            continue
+        run, sites = guard_sites_of(fid)
+        assert sites_in(run, run.cfgs) == sites, fid
+        found += len(sites)
+    assert found > 20
+
+
 # -- collect_guard_strings --------------------------------------------------------
 
 def test_operand_literal_collected():
     run, sites = guard_sites_of("oppo_perm")
     (site,) = sites
-    cfg = run.cfgs[site.method]
-    assert collect_guard_strings(site, cfg.method, cfg) == ["oppo"]
+    assert guard_strings(run, site) == ["oppo"]
 
 
 def test_literal_from_earlier_block_collected():
     run, sites = guard_sites_of("split_literal")
     (site,) = sites
-    cfg = run.cfgs[site.method]
-    assert "HUAWEI" in collect_guard_strings(site, cfg.method, cfg)
+    assert "HUAWEI" in guard_strings(run, site)
 
 
 def test_condition_without_literals_yields_nothing():
     run, sites = guard_sites_of("loop_moves")
     (site,) = sites
-    cfg = run.cfgs[site.method]
-    assert collect_guard_strings(site, cfg.method, cfg) == []
+    assert guard_strings(run, site) == []
 
 
 def test_property_key_collected_for_nullcheck():
     run, sites = guard_sites_of("nullcheck")
     (site,) = sites
-    cfg = run.cfgs[site.method]
-    assert collect_guard_strings(site, cfg.method, cfg) == ["ro.build.version.emui"]
+    assert guard_strings(run, site) == ["ro.build.version.emui"]
 
 
 # -- confirm_device_guard ----------------------------------------------------------
@@ -113,8 +141,7 @@ def test_property_key_collected_for_nullcheck():
 def test_confirm_with_brand(device_db):
     run, sites = guard_sites_of("oppo_perm")
     (site,) = sites
-    cfg = run.cfgs[site.method]
-    guard = confirm_device_guard(site, collect_guard_strings(site, cfg.method, cfg), device_db)
+    guard = confirm_device_guard(site, guard_strings(run, site), device_db)
     assert guard is not None
     assert [(m.kind, m.db_entry) for m in guard.identifiers] == [("brand", "OPPO")]
 
@@ -128,8 +155,7 @@ def test_no_identifier_no_guard(device_db):
 def test_model_identifier_confirms(device_db):
     run, sites = guard_sites_of("build_fields")
     (site,) = sites
-    cfg = run.cfgs[site.method]
-    guard = confirm_device_guard(site, collect_guard_strings(site, cfg.method, cfg), device_db)
+    guard = confirm_device_guard(site, guard_strings(run, site), device_db)
     assert guard is not None
     assert ("model", "SM-S918B") in [(m.kind, m.db_entry) for m in guard.identifiers]
 
@@ -140,7 +166,7 @@ def _snippet(fid, device_db, index=0):
     run = corpus_run(fid)
     guards = find_device_guards(run.taint, run.cfgs, device_db)
     guard = guards[index]
-    return run, extract_region(guard, run.cfgs, run.call_graph, run.program)
+    return run, extract_region(guard, run.cfgs, run.call_graph)
 
 
 def test_oppo_region_and_reachable(device_db):
@@ -174,7 +200,7 @@ def test_deep_chain_fixpoint(device_db):
 def test_region_budget_truncates(device_db):
     run = corpus_run("deep_chain")
     guards = find_device_guards(run.taint, run.cfgs, device_db)
-    snippet = extract_region(guards[0], run.cfgs, run.call_graph, run.program, max_methods=1)
+    snippet = extract_region(guards[0], run.cfgs, run.call_graph, max_methods=1)
     assert snippet.truncated
     assert len(snippet.reachable_methods) == 1
 
@@ -185,7 +211,7 @@ def test_arms_disjoint_across_corpus(device_db, all_fixture_ids):
             continue
         run = corpus_run(fid)
         for guard in find_device_guards(run.taint, run.cfgs, device_db):
-            snippet = extract_region(guard, run.cfgs, run.call_graph, run.program)
+            snippet = extract_region(guard, run.cfgs, run.call_graph)
             taken = {
                 i
                 for start, end in snippet.region["taken"]
@@ -206,7 +232,7 @@ def test_reachable_bounded_by_program(device_db, all_fixture_ids):
         run = corpus_run(fid)
         total = sum(1 for _ in run.program.methods())
         for guard in find_device_guards(run.taint, run.cfgs, device_db):
-            snippet = extract_region(guard, run.cfgs, run.call_graph, run.program)
+            snippet = extract_region(guard, run.cfgs, run.call_graph)
             assert len(snippet.reachable_methods) <= total
 
 
@@ -251,7 +277,7 @@ def test_matched_arm_polarity(device_db):
     guards = find_device_guards(run.taint, run.cfgs, device_db)
     arms = {}
     for guard in guards:
-        snippet = extract_region(guard, run.cfgs, run.call_graph, run.program)
+        snippet = extract_region(guard, run.cfgs, run.call_graph)
         arms[guard.site.method.split(";->")[1]] = snippet.matched_arm
     assert arms["ordered()V"] is Arm.TAKEN  # compareTo == 0 under if-eqz
     assert arms["suffix()V"] is Arm.FALLTHROUGH

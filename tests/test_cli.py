@@ -82,7 +82,7 @@ def test_batch_parallel(tmp_path, capsys):
     assert len(list(out_dir.glob("*.json"))) == 2
 
 
-@pytest.mark.parametrize("bad_id", ["a/b", "../x", "a\\b", ".", ".."])
+@pytest.mark.parametrize("bad_id", ["a/b", "../x", "a\\b", ".", "..", "good"])
 def test_batch_rejects_bad_app_id_before_any_row(tmp_path, capsys, monkeypatch, bad_id):
     analyzed = []
     real = devscan.cli.analyze_app
@@ -102,6 +102,31 @@ def test_batch_rejects_bad_app_id_before_any_row(tmp_path, capsys, monkeypatch, 
     assert f"{manifest} line 2: bad app_id" in capsys.readouterr().err
     assert analyzed == []
     assert list(tmp_path.rglob("*.json")) == []
+
+
+def test_batch_row_crash_fails_only_that_row(tmp_path, capsys, monkeypatch):
+    real = devscan.cli.analyze_app
+
+    def crashing(*args, **kwargs):
+        if kwargs.get("app_id") == "b":
+            raise KeyError("boom")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(devscan.cli, "analyze_app", crashing)
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(
+        "".join(f"{app_id}\t{smali_root('zero_sources')}\n" for app_id in "abc"),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "reports"
+    assert main(["batch", str(manifest), "--out-dir", str(out_dir), "--jobs", "1"]) == 0
+    assert sorted(p.name for p in out_dir.glob("*.json")) == ["a.json", "b.json", "c.json"]
+    reports = {a: json.loads((out_dir / f"{a}.json").read_text()) for a in "abc"}
+    assert reports["b"]["analysis_status"] == "failed"
+    assert reports["b"]["failure_reason"] == "internal: KeyError: 'boom'"
+    assert reports["a"]["analysis_status"] == reports["c"]["analysis_status"] == "ok"
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split("\t")[:2] for row in rows] == [["a", "ok"], ["b", "failed"], ["c", "ok"]]
 
 
 def test_aggregate_empty_dir(tmp_path, capsys):

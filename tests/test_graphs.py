@@ -8,7 +8,6 @@ from devscan.graphs import (
     build_cfg,
     call_graph_to_dot,
     cfg_to_dot,
-    immediate_postdominator,
     immediate_postdominators,
 )
 from devscan.smali import parse_smali_class
@@ -47,7 +46,7 @@ def test_if_produces_three_blocks():
     kinds = sorted(k.value for _, _, k in cfg.edges)
     assert kinds == ["branch_taken", "fallthrough", "fallthrough"]
     # join block after both arms postdominates the condition
-    assert immediate_postdominator(cfg, 0) == 2
+    assert immediate_postdominators(cfg)[0] == 2
 
 
 def test_goto_back_makes_cycle():

@@ -1,6 +1,7 @@
 import pytest
 
 from devscan.fixtures import OracleLimitError, load_fixture, oracle_interpret, validate_manifest
+from devscan.graphs import build_cfgs
 from devscan.ir import Program
 from devscan.smali import parse_smali_class
 from devscan.taint import find_sources
@@ -55,7 +56,7 @@ def test_empty_method_has_empty_trace():
 """
     )
     program = Program((cls,))
-    trace = oracle_interpret(program, find_sources(program))
+    trace = oracle_interpret(program, find_sources(program, build_cfgs(program)))
     assert trace["Lt/Empty;->f()V"] == {0: frozenset()}
 
 

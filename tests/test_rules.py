@@ -18,7 +18,7 @@ from tests.conftest import corpus_run
 def snippet_of(fid, device_db, index=0):
     run = corpus_run(fid)
     guards = find_device_guards(run.taint, run.cfgs, device_db)
-    return extract_region(guards[index], run.cfgs, run.call_graph, run.program)
+    return extract_region(guards[index], run.cfgs, run.call_graph)
 
 
 # -- rule loading -----------------------------------------------------------

@@ -1,4 +1,4 @@
-from devscan.graphs import build_call_graph, build_cfg, build_cfgs
+from devscan.graphs import build_call_graph, build_cfgs
 from devscan.ir import Opcode, Program, written_register
 from devscan.smali import parse_smali_class
 from devscan.taint import (
@@ -6,19 +6,20 @@ from devscan.taint import (
     SourceKind,
     Step,
     TaintEngine,
-    TaintFact,
     feeding_invoke,
     find_sources,
-    propagate_inter,
-    propagate_intra,
 )
 from tests.conftest import corpus_run
 
 
-def single_method_program(src: str):
-    cls = parse_smali_class(src)
-    program = Program((cls,))
-    return program, cls.methods[0]
+def program_of(src: str):
+    return Program((parse_smali_class(src),))
+
+
+def engine_facts(program):
+    """Facts of the whole-program engine, run as analyze_app runs it."""
+    cfgs = build_cfgs(program)
+    return TaintEngine(cfgs, build_call_graph(program), find_sources(program, cfgs)).solve().facts
 
 
 # -- find_sources --------------------------------------------------------------
@@ -47,7 +48,7 @@ def test_direct_sysprop_source_key_recovered():
 
 
 def test_vendor_custom_key_still_a_source():
-    program, _ = single_method_program(
+    program = program_of(
         """
 .class public Lt/Custom;
 .super Ljava/lang/Object;
@@ -60,12 +61,12 @@ def test_vendor_custom_key_still_a_source():
 .end method
 """
     )
-    (src,) = find_sources(program)
+    (src,) = find_sources(program, build_cfgs(program))
     assert src.detail == "ro.vendor.xyz.secret"
 
 
 def test_sysprop_key_unknown_when_not_const():
-    program, _ = single_method_program(
+    program = program_of(
         """
 .class public Lt/Unknown;
 .super Ljava/lang/Object;
@@ -77,12 +78,12 @@ def test_sysprop_key_unknown_when_not_const():
 .end method
 """
     )
-    (src,) = find_sources(program)
+    (src,) = find_sources(program, build_cfgs(program))
     assert src.detail == UNKNOWN_KEY
 
 
 def test_reflective_pattern_requires_all_three_pieces():
-    program, _ = single_method_program(
+    program = program_of(
         """
 .class public Lt/NotReflective;
 .super Ljava/lang/Object;
@@ -95,7 +96,7 @@ def test_reflective_pattern_requires_all_three_pieces():
 .end method
 """
     )
-    assert find_sources(program) == []
+    assert find_sources(program, build_cfgs(program)) == []
 
 
 def test_program_without_sources_is_empty():
@@ -104,7 +105,7 @@ def test_program_without_sources_is_empty():
 
 
 def test_non_table_build_field_ignored():
-    program, _ = single_method_program(
+    program = program_of(
         """
 .class public Lt/Board;
 .super Ljava/lang/Object;
@@ -115,29 +116,13 @@ def test_non_table_build_field_ignored():
 .end method
 """
     )
-    assert find_sources(program) == []
+    assert find_sources(program, build_cfgs(program)) == []
 
 
-# -- propagate_intra -------------------------------------------------------------
-
-def _seed(method, register, def_index, origin):
-    return TaintFact(
-        method=method.signature,
-        register=register,
-        valid_range=(def_index, def_index),
-        origin=origin,
-        chain=(),
-    )
-
-
-def _dummy_origin(sig):
-    from devscan.taint import DeviceInfoSource
-
-    return DeviceInfoSource(SourceKind.BUILD_FIELD_READ, sig, 0, "BRAND", 0)
-
+# -- within one method ------------------------------------------------------------
 
 def test_intra_move_copies():
-    program, method = single_method_program(
+    program = program_of(
         """
 .class public Lt/Move;
 .super Ljava/lang/Object;
@@ -149,14 +134,12 @@ def test_intra_move_copies():
 .end method
 """
     )
-    cfg = build_cfg(method)
-    seed = _seed(method, 0, 0, _dummy_origin(method.signature))
-    facts = propagate_intra(method, cfg, [seed])
+    facts = engine_facts(program)
     assert {(f.register, f.chain) for f in facts} == {(0, ()), (1, (Step.MOVE,))}
 
 
 def test_intra_kill_on_redefinition():
-    program, method = single_method_program(
+    program = program_of(
         """
 .class public Lt/Kill;
 .super Ljava/lang/Object;
@@ -168,14 +151,12 @@ def test_intra_kill_on_redefinition():
 .end method
 """
     )
-    cfg = build_cfg(method)
-    seed = _seed(method, 0, 0, _dummy_origin(method.signature))
-    (fact,) = propagate_intra(method, cfg, [seed])
+    (fact,) = engine_facts(program)
     assert fact.valid_range == (0, 1)  # live only into the redefinition
 
 
 def test_intra_two_moves_into_comparison():
-    program, method = single_method_program(
+    program = program_of(
         """
 .class public Lt/Chain;
 .super Ljava/lang/Object;
@@ -190,15 +171,13 @@ def test_intra_two_moves_into_comparison():
 .end method
 """
     )
-    cfg = build_cfg(method)
-    seed = _seed(method, 0, 0, _dummy_origin(method.signature))
-    facts = propagate_intra(method, cfg, [seed])
+    facts = engine_facts(program)
     assert len(facts) == 3
     used_at_call = {f.register for f in facts if 4 in f.uses}
     assert used_at_call == {2}
 
 
-# -- propagate_inter --------------------------------------------------------------
+# -- across methods ---------------------------------------------------------------
 
 def test_callee_return_taints_caller():
     run = corpus_run("oppo_perm")
@@ -246,13 +225,9 @@ def test_round_trip_return_is_caller_return():
     return-void
 .end method
 """
-    cls = parse_smali_class(src)
-    program = Program((cls,))
-    cfgs = build_cfgs(program)
-    graph = build_call_graph(program)
-    result = propagate_inter(program, cfgs, graph, find_sources(program, cfgs=cfgs))
+    program = program_of(src)
     f_sig = "Lt/RoundTrip;->f()V"
-    chains = {f.register: f.chain for f in result.facts if f.method == f_sig}
+    chains = {f.register: f.chain for f in engine_facts(program) if f.method == f_sig}
     assert chains[1] == (Step.PARAM_IN, Step.CALLER_RETURN)
 
 
@@ -291,7 +266,7 @@ def test_monotone_in_sources(all_fixture_ids):
         if len(run.sources) < 2:
             continue
         subset = run.sources[: len(run.sources) // 2]
-        partial = propagate_inter(run.program, run.cfgs, run.call_graph, subset)
+        partial = TaintEngine(run.cfgs, run.call_graph, subset).solve()
         full_keys = {
             (f.method, f.register, f.valid_range[0], f.origin) for f in run.taint.facts
         }
@@ -306,7 +281,7 @@ def test_fixpoint_idempotent(all_fixture_ids):
         if fid == "budget_bomb":
             continue
         run = corpus_run(fid)
-        engine = TaintEngine(run.program, run.cfgs, run.call_graph, run.sources)
+        engine = TaintEngine(run.cfgs, run.call_graph, run.sources)
         result = engine.solve()
         assert result.converged
         assert engine.sweep_once() == 0
@@ -314,16 +289,14 @@ def test_fixpoint_idempotent(all_fixture_ids):
 
 def test_deterministic_results():
     run = corpus_run("multi_guard")
-    again = propagate_inter(run.program, run.cfgs, run.call_graph, run.sources)
+    again = TaintEngine(run.cfgs, run.call_graph, run.sources).solve()
     assert again.facts == run.taint.facts
     assert again.per_point() == run.taint.per_point()
 
 
 def test_iteration_budget_flags_partial():
     run = corpus_run("interproc_ret")
-    result = propagate_inter(
-        run.program, run.cfgs, run.call_graph, run.sources, max_method_passes=1
-    )
+    result = TaintEngine(run.cfgs, run.call_graph, run.sources, max_method_passes=1).solve()
     assert not result.converged
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .devicedb import DeviceInfoDB, IdentifierMatch, match_identifier
-from .graphs import CFG, CallGraph, immediate_postdominators
+from .graphs import CFG, CallGraph, CFGMap, immediate_postdominators
 from .ir import (
     IF_OPCODES,
     INVOKE_OPCODES,
@@ -158,8 +158,6 @@ def _tainted_side(
 
 def _may_hold_sites(taint: TaintResult, sig: str, cfg: CFG) -> bool:
     # every site needs an if, and an if or string comparison reading taint
-    if not taint.tainted_in(sig):
-        return False
     m = cfg.method
     reads = [i for i in m.instructions if i.opcode in IF_OPCODES or _comparison_invoke(m, i.index)]
     return any(i.opcode in IF_OPCODES for i in reads) and any(
@@ -336,7 +334,7 @@ def _arm_blocks(cfg: CFG, cond_block: int, entry: int, stop: int) -> set[int]:
 
 def extract_region(
     guard: DeviceGuard,
-    cfgs: dict[str, CFG],
+    cfgs: CFGMap,
     call_graph: CallGraph,
     max_methods: int | None = None,
 ) -> BehaviorSnippet:
@@ -345,7 +343,7 @@ def extract_region(
     An arm is the set of blocks reachable from its branch edge without
     passing the condition block's immediate postdominator; blocks shared by
     both arms are treated as common continuation and dropped from each.
-    Called methods with bodies, those in ``cfgs``, are followed to a
+    Called methods with bodies, those in ``cfgs.methods``, are followed to a
     fixpoint; unresolved callees accumulate as system methods. The walk is
     unbounded unless ``max_methods`` caps it; a capped walk marks the
     snippet truncated.
@@ -418,8 +416,8 @@ def extract_region(
             truncated = True
             break
         reachable.add(callee)
-        if callee in cfgs:
-            work.extend(scan(cfgs[callee].method.instructions, callee))
+        if callee in cfgs.methods:
+            work.extend(scan(cfgs.methods[callee].instructions, callee))
 
     packages = {descriptor_to_dotted(method.owner).rsplit(".", 1)[0] if "." in descriptor_to_dotted(method.owner) else ""}
     for sig in reachable:
@@ -444,15 +442,16 @@ def extract_region(
 
 def find_device_guards(
     taint: TaintResult,
-    cfgs: dict[str, CFG],
+    cfgs: CFGMap,
     db: DeviceInfoDB,
 ) -> list[DeviceGuard]:
     """find_guard_sites + collect_guard_strings + confirm_device_guard, one
     method at a time, sharing the method's reaching definitions between them.
-    Methods where no if or comparison reads a tainted register are skipped."""
+    Methods where no if or comparison reads a tainted register are skipped,
+    and an untainted one before its CFG is built."""
     guards: list[DeviceGuard] = []
-    for sig, cfg in sorted(cfgs.items()):
-        if not _may_hold_sites(taint, sig, cfg):
+    for sig in sorted(cfgs):
+        if not taint.tainted_in(sig) or not _may_hold_sites(taint, sig, cfg := cfgs[sig]):
             continue
         rd = reaching_definitions(cfg.method, cfg)
         for site in find_guard_sites(taint, cfg, rd):

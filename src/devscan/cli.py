@@ -63,8 +63,15 @@ def cmd_scan(args) -> int:
     budgets = Budgets(wall_clock_seconds=args.timeout)
 
     def dump_taint(result):
+        # one definition may carry several origins: order them too, so the
+        # lines do not follow set hashing
         for fact in sorted(
-            result.facts, key=lambda f: (f.method, f.register, f.valid_range)
+            result.facts,
+            key=lambda f: (
+                f.method, f.register, f.valid_range,
+                (f.origin.method, f.origin.index, f.origin.kind.value),
+                tuple(s.value for s in f.chain),
+            ),
         ):
             print(json.dumps(fact.to_json_dict()), file=sys.stderr)
 

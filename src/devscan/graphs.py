@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -256,9 +257,32 @@ def build_call_graph(program: Program) -> CallGraph:
     return CallGraph(edges=tuple(edges))
 
 
-def build_cfgs(program: Program) -> dict[str, CFG]:
-    """CFGs for every method with a body, keyed by signature."""
-    return {m.signature: build_cfg(m) for m in program.methods() if m.has_body}
+class CFGMap(Mapping[str, CFG]):
+    """CFGs of the methods with a body, keyed by signature, each built on
+    first lookup. ``methods`` holds the bodies, for code that needs no CFG.
+    Concurrent first lookups of a method all get the same CFG."""
+
+    def __init__(self, methods: dict[str, MethodIR]):
+        self.methods = methods
+        self._built: dict[str, CFG] = {}
+
+    def __getitem__(self, sig: str) -> CFG:
+        cfg = self._built.get(sig)
+        return cfg if cfg is not None else self._built.setdefault(sig, build_cfg(self.methods[sig]))
+
+    def __contains__(self, sig: object) -> bool:
+        return sig in self.methods
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.methods)
+
+    def __len__(self) -> int:
+        return len(self.methods)
+
+
+def build_cfgs(program: Program) -> CFGMap:
+    """CFGs for every method with a body, keyed by signature, built lazily."""
+    return CFGMap({m.signature: m for m in program.methods() if m.has_body})
 
 
 def cfg_to_dot(cfg: CFG) -> str:

@@ -19,7 +19,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .devicedb import DEFAULT_SOURCE_SPECS
-from .graphs import CFG, CallGraph
+from .graphs import CFG, CallGraph, CFGMap
 from .ir import (
     INVOKE_OPCODES,
     Instruction,
@@ -223,7 +223,7 @@ def result_register(method: MethodIR, invoke_index: int) -> tuple[int, int] | No
 # ---------------------------------------------------------------------------
 # source discovery
 
-def find_sources(program: Program, cfgs: dict[str, CFG]) -> list[DeviceInfoSource]:
+def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
     """Locate every device-information read in the program.
 
     Reports Build field reads of the DEFAULT_SOURCE_SPECS fields, direct
@@ -237,13 +237,12 @@ def find_sources(program: Program, cfgs: dict[str, CFG]) -> list[DeviceInfoSourc
     for method in program.methods():
         if not method.has_body:
             continue
-        cfg = cfgs[method.signature]
         rd: ReachingDefs | None = None
 
         def lazy_rd() -> ReachingDefs:
             nonlocal rd
             if rd is None:
-                rd = reaching_definitions(method, cfg)
+                rd = reaching_definitions(method, cfgs[method.signature])
             return rd
 
         forname_results: set[int] = set()
@@ -391,13 +390,14 @@ class TaintEngine:
     """Worklist fixpoint over per-method passes.
 
     A pass solves one method body from its entry masks (what callers pass
-    in) and its callees' summaries (the masks they return). A method is
-    queued again when either changes.
+    in) and its callees' summaries (the masks they return). The worklist
+    starts from the methods holding a source, and a method is queued when
+    either input changes, so one nothing can taint is never passed.
     """
 
     def __init__(
         self,
-        cfgs: dict[str, CFG],
+        cfgs: CFGMap,
         call_graph: CallGraph,
         sources: list[DeviceInfoSource],
         max_method_passes: int | None = None,
@@ -428,20 +428,20 @@ class TaintEngine:
         into bodies, as (index, callee, first parameter register, arguments)."""
         if sig not in self._shapes:
             returns, calls = [], []
-            for ins in self.cfgs[sig].method.instructions:
+            for ins in self.cfgs.methods[sig].instructions:
                 if ins.opcode in (Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE):
                     returns.append((ins.index, ins.operands[0]))
                 elif ins.opcode in INVOKE_OPCODES:
                     edge = self.call_graph.edge_at(sig, ins.index)
                     if edge is not None and edge.resolved and edge.callee in self.cfgs:
-                        base = self.cfgs[edge.callee].method.registers - len(ins.operands)
+                        base = self.cfgs.methods[edge.callee].registers - len(ins.operands)
                         if base >= 0:
                             calls.append((ins.index, edge.callee, base, ins.operands))
             self._shapes[sig] = (returns, calls)
         return self._shapes[sig]
 
     def _transfer(self, sig: str) -> Transfer:
-        method = self.cfgs[sig].method
+        method = self.cfgs.methods[sig]
         sget_bits = self._sget_bits.get(sig, {})
 
         def transfer(ins: Instruction, state: dict[int, int]) -> None:
@@ -476,7 +476,7 @@ class TaintEngine:
     # -- fixpoint ---------------------------------------------------------
 
     def solve(self) -> TaintResult:
-        work = deque(sorted(self.cfgs))
+        work = deque(sorted({src.method for src in self.sources}))
         queued = set(work)
         converged = True
         while work:
@@ -547,7 +547,7 @@ class TaintEngine:
         definition of a method whose pass left ``in_sets``."""
         yield from ((reg, ENTRY_DEF, mask) for reg, mask in self.entry_facts.get(sig, {}).items())
         transfer = self._transfer(sig)
-        for ins in self.cfgs[sig].method.instructions:
+        for ins in self.cfgs.methods[sig].instructions:
             if (w := written_register(ins)) is not None:
                 state = dict(in_sets[ins.index])
                 transfer(ins, state)
@@ -567,7 +567,7 @@ class TaintEngine:
                 if callee == sig and 0 <= reg - base < len(args)
                 for k in live(caller, args[reg - base], index, origin)
             ]
-        method = self.cfgs[sig].method
+        method = self.cfgs.methods[sig]
         op = method.instructions[d].opcode
         if op is Opcode.SGET_OBJECT:
             return () if self._sget_bits.get(sig, {}).get(d, 0) >> origin & 1 else []
@@ -622,7 +622,7 @@ class TaintEngine:
                 chains[key] = found
                 continue
             sig, _, d, origin = key
-            ins = self.cfgs[sig].method.instructions[d] if d != ENTRY_DEF else None
+            ins = self.cfgs.methods[sig].instructions[d] if d != ENTRY_DEF else None
             if ins is not None and ins.opcode is Opcode.MOVE:
                 found += [(k, Step.MOVE) for k in live(sig, ins.operands[1], d, origin)]
             parents[key] = found
@@ -644,7 +644,7 @@ class TaintEngine:
         live_at: dict[tuple[str, int, int], list[int]] = {}
         read_at: dict[tuple[str, int, int], list[int]] = {}
         for sig, rd in rds.items() if exact else ():
-            instructions = self.cfgs[sig].method.instructions
+            instructions = self.cfgs.methods[sig].instructions
             for i, state in enumerate(rd):
                 reads = read_registers(instructions[i])
                 for reg, defs in state.items():
@@ -666,6 +666,10 @@ class TaintEngine:
             sources=self.sources,
             iterations=self.iterations,
             converged=converged,
-            _points=points,
+            # a method never passed is untainted everywhere
+            _points={
+                sig: points[sig] if sig in points else [_UNREACHED] * len(method.instructions)
+                for sig, method in self.cfgs.methods.items()
+            },
             _build_facts=lambda: self._facts(points, converged),
         )

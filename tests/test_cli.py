@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import pytest
 
+import devscan
 import devscan.cli
 from devscan.cli import main
 from devscan.fixtures import corpus_root
@@ -44,6 +50,39 @@ def test_scan_packed_apk(tmp_path, capsys):
 def test_scan_timeout_exit_code(capsys):
     code = main(["scan", smali_root("budget_bomb"), "--timeout", "2"])
     assert code == 3
+
+
+TWO_ORIGINS = """
+.class public Lt/A;
+.super Ljava/lang/Object;
+
+.method public static f()Ljava/lang/String;
+    .registers 3
+    sget-object v0, Landroid/os/Build;->BRAND:Ljava/lang/String;
+    sget-object v1, Landroid/os/Build;->MODEL:Ljava/lang/String;
+    invoke-virtual {v0, v1}, Ljava/lang/String;->concat(Ljava/lang/String;)Ljava/lang/String;
+    move-result-object v2
+    return-object v2
+.end method
+"""
+
+
+def test_dump_taint_order_ignores_hash_seed(tmp_path):
+    """v2 holds one definition with two origins; its lines keep one order."""
+    (tmp_path / "smali" / "t").mkdir(parents=True)
+    (tmp_path / "smali" / "t" / "A.smali").write_text(TWO_ORIGINS, encoding="utf-8")
+    src = str(Path(devscan.__file__).resolve().parents[1])
+    digests = set()
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "devscan.cli", "scan", str(tmp_path / "smali"),
+             "--dump-taint", "--out", str(tmp_path / "report.json")],
+            env=env, capture_output=True, check=True,
+        )
+        assert done.stderr.count(b"\n") == 4
+        digests.add(hashlib.sha256(done.stderr).hexdigest())
+    assert len(digests) == 1
 
 
 def test_usage_error_exits_1(capsys):

@@ -1,17 +1,25 @@
+import sys
+import threading
+
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import devscan.graphs
+from devscan.fixtures import corpus_root, load_fixture
 from devscan.graphs import (
     EXIT,
     _ipdoms_from_edges,
     build_call_graph,
     build_cfg,
+    build_cfgs,
     call_graph_to_dot,
     cfg_to_dot,
     immediate_postdominators,
 )
 from devscan.smali import parse_smali_class
 from devscan.ir import Program
+from devscan.report import analyze_app
 from tests.conftest import corpus_run
 
 
@@ -311,3 +319,75 @@ def test_dot_outputs_contain_nodes():
     assert dot.startswith("digraph") and "b0" in dot
     cg_dot = call_graph_to_dot(run.call_graph)
     assert "digraph" in cg_dot and "oppoApi" in cg_dot
+
+
+def test_cfgs_built_on_demand(monkeypatch):
+    built = []
+
+    def counting_build_cfg(method):
+        built.append(method.signature)
+        return build_cfg(method)
+
+    monkeypatch.setattr(devscan.graphs, "build_cfg", counting_build_cfg)
+    report = analyze_app(corpus_root() / "zero_sources" / "smali")
+    assert report.analysis_status == "ok"
+    assert built == []  # nothing is tainted, so no method needs a CFG
+
+    program = load_fixture("deep_chain").load()
+    cfgs = build_cfgs(program)
+    bodies = [m.signature for m in program.methods() if m.has_body]
+    assert list(cfgs) == bodies and len(cfgs) == len(bodies) > 1
+    assert all(sig in cfgs for sig in bodies) and "Lt/Nope;->f()V" not in cfgs
+    assert list(cfgs.methods) == bodies
+    assert built == []
+    assert cfgs[bodies[0]] is cfgs[bodies[0]]
+    assert built == [bodies[0]]
+
+
+def test_cfg_lookup_without_body_raises():
+    program = Program((parse_smali_class(
+        """
+.class public abstract Lt/A;
+.super Ljava/lang/Object;
+.method public abstract f()V
+.end method
+.method public static g()V
+    .registers 1
+    return-void
+.end method
+"""
+    ),))
+    cfgs = build_cfgs(program)
+    assert list(cfgs) == ["Lt/A;->g()V"] and "Lt/A;->f()V" not in cfgs
+    with pytest.raises(KeyError):
+        cfgs["Lt/A;->f()V"]
+
+
+def test_concurrent_first_lookups_share_one_cfg():
+    program = load_fixture("multi_guard").load()
+
+    def race(cfgs, seen: list[dict]) -> None:
+        start = threading.Barrier(len(seen))
+
+        def look_up(out: dict) -> None:
+            start.wait(timeout=10)
+            for sig in cfgs:
+                out[sig] = cfgs[sig]
+
+        threads = [threading.Thread(target=look_up, args=(out,)) for out in seen]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            cfgs, seen = build_cfgs(program), [{} for _ in range(8)]
+            race(cfgs, seen)
+            for sig in cfgs:
+                assert all(out[sig] is cfgs[sig] for out in seen), sig
+    finally:
+        sys.setswitchinterval(old)

@@ -6,7 +6,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .ir import IF_OPCODES, INVOKE_OPCODES, MethodIR, Opcode, Program
+from .ir import IF_OPCODES, INVOKE_OPCODES, MethodIR, MethodRef, Opcode, Program
 
 # synthetic exit node joining all return blocks
 EXIT = -1
@@ -238,22 +238,22 @@ def resolve_call(program: Program, owner: str, name: str, descriptor: str) -> Me
 def build_call_graph(program: Program) -> CallGraph:
     """One edge per invoke instruction; unresolved callees are data."""
     edges: list[CallEdge] = []
+    callees: dict[MethodRef, tuple[str, bool]] = {}  # each distinct ref resolved once
     for cls in program.classes:
         for method in cls.methods:
+            caller = method.signature
             for ins in method.instructions:
                 if ins.opcode not in INVOKE_OPCODES:
                     continue
                 ref = ins.method_ref
                 assert ref is not None
-                target = resolve_call(program, ref.owner, ref.name, ref.descriptor)
-                if target is not None:
-                    edges.append(
-                        CallEdge(method.signature, ins.index, target.signature, True)
+                callee = callees.get(ref)
+                if callee is None:
+                    target = resolve_call(program, ref.owner, ref.name, ref.descriptor)
+                    callee = callees[ref] = (
+                        (target.signature, True) if target is not None else (ref.signature, False)
                     )
-                else:
-                    edges.append(
-                        CallEdge(method.signature, ins.index, ref.signature, False)
-                    )
+                edges.append(CallEdge(caller, ins.index, *callee))
     return CallGraph(edges=tuple(edges))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class Opcode(Enum):
@@ -32,6 +33,10 @@ class Opcode(Enum):
     IGET_OBJECT = "iget-object"
     NEW_INSTANCE = "new-instance"
     NOP = "nop"
+
+    # members are singletons, so identity hashing agrees with Enum's
+    # equality and skips its Python-level hash of the member name
+    __hash__ = object.__hash__
 
 
 INVOKE_OPCODES = frozenset({
@@ -67,13 +72,18 @@ _OPERAND_SPECS: dict[Opcode, tuple[int | None, str | None]] = {
     Opcode.NEW_INSTANCE: (1, "type_ref"),
     Opcode.NOP: (0, None),
 }
+_SLOTS = ("literal", "field_ref", "method_ref", "type_ref", "branch_target")
+# opcode -> for each of _SLOTS, whether it must be set
+_SLOT_SHAPES = {
+    op: tuple(slot == needed for slot in _SLOTS) for op, (_, needed) in _OPERAND_SPECS.items()
+}
 
 
 class IRError(ValueError):
     """Structurally invalid IR."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldRef:
     owner: str
     name: str
@@ -83,7 +93,7 @@ class FieldRef:
         return f"{self.owner}->{self.name}:{self.type_desc}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodRef:
     owner: str
     name: str
@@ -97,8 +107,7 @@ class MethodRef:
         return self.signature
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     index: int
     opcode: Opcode
     operands: tuple[int, ...] = ()
@@ -115,12 +124,21 @@ class Instruction:
 def validate_instruction(ins: Instruction) -> None:
     """Check that exactly the operand slots required by the opcode are set."""
     regs, needed = _OPERAND_SPECS[ins.opcode]
+    # one comparison settles a valid instruction; the checks below word the error
+    if (regs is None or len(ins.operands) == regs) and _SLOT_SHAPES[ins.opcode] == (
+        ins.literal is not None,
+        ins.field_ref is not None,
+        ins.method_ref is not None,
+        ins.type_ref is not None,
+        ins.branch_target is not None,
+    ):
+        return
     if regs is not None and len(ins.operands) != regs:
         raise IRError(
             f"{ins.opcode.value} at {ins.index}: expected {regs} register "
             f"operands, got {len(ins.operands)}"
         )
-    for slot in ("literal", "field_ref", "method_ref", "type_ref", "branch_target"):
+    for slot in _SLOTS:
         value = getattr(ins, slot)
         if slot == needed:
             if value is None:

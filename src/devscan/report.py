@@ -203,6 +203,7 @@ def analyze_app(
     except ProgramLoadError as exc:
         report.analysis_status = Status.FAILED
         report.failure_reason = str(exc)
+        report.diagnostics = [d.to_json_dict() for d in exc.diagnostics]
         report.wall_time_seconds = elapsed()
         return report
     report.diagnostics = [d.to_json_dict() for d in diagnostics]

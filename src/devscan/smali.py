@@ -9,10 +9,12 @@ debug and annotation directives are skipped. Anything unparseable raises
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from .ir import (
+    INVOKE_OPCODES,
     ClassDef,
     FieldRef,
     Instruction,
@@ -34,7 +36,11 @@ class SmaliSyntaxError(ValueError):
 
 
 class ProgramLoadError(ValueError):
-    pass
+    """Nothing loadable; ``diagnostics`` says why each file was dropped."""
+
+    def __init__(self, message: str, diagnostics: list[Diagnostic] | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or []
 
 
 # Mnemonics mapped into the subset. Width/range suffixed forms collapse to
@@ -115,9 +121,16 @@ _REGISTER_RE = re.compile(r"^[vp]\d+$")
 _TYPE_RE = re.compile(r"^\[*(?:L[^;]+;|[ZBSCIJFD])$")
 _CLASS_RE = re.compile(r"^L[^;]+;$")
 _MNEMONIC_RE = re.compile(r"^[a-z][a-z0-9/.-]*$")
+# method names in headers and references alike; `-` appears in D8's
+# synthetic accessors such as `-$$Nest$mbrand`
+_METHOD_NAME = r"<?[A-Za-z0-9_$\-]+>?"
 _METHOD_REF_RE = re.compile(
-    r"^(?P<owner>\[*L[^;]+;)->(?P<name><?[A-Za-z0-9_$]+>?):?(?P<desc>\([^)]*\).+)$"
+    rf"^(?P<owner>\[*L[^;]+;)->(?P<name>{_METHOD_NAME}):?(?P<desc>\([^)]*\).+)$"
 )
+_METHOD_PROTO_RE = re.compile(rf"^({_METHOD_NAME})(\(.*\).+)$")
+_CONST_STRING_RE = re.compile(r'^([vp]\d+)\s*,\s*"(.*)"$', re.DOTALL)
+_INVOKE_RE = re.compile(r"^\{(.*)\}\s*,\s*(\S+)$")
+_FIELD_DIRECTIVE_RE = re.compile(r"^\.field\s+(?:[a-z]+\s+)*([A-Za-z0-9_$]+):(\S+)")
 _FIELD_REF_RE = re.compile(
     r"^(?P<owner>\[*L[^;]+;)->(?P<name>[A-Za-z0-9_$]+):(?P<desc>\[*(?:L[^;]+;|[ZBSCIJFD]))$"
 )
@@ -185,8 +198,6 @@ def _escape(text: str) -> str:
 
 def _strip_comment(line: str) -> str:
     # '#' starts a comment unless inside a quoted string
-    if "#" not in line:
-        return line
     in_string = False
     i = 0
     while i < len(line):
@@ -203,12 +214,10 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-@dataclass
-class _RawInstruction:
-    line_no: int
-    mnemonic: str
-    rest: str
-    labels: tuple[str, ...]
+# one instruction line: (line_no, mnemonic, rest, labels); `rest` is stripped
+_Raw = tuple[int, str, str, tuple[str, ...]]
+# maps a register token to its index, raising SmaliSyntaxError at line_no
+_RegFn = Callable[[str, int], int]
 
 
 class _MethodParser:
@@ -225,7 +234,7 @@ class _MethodParser:
         self.is_abstract_or_native = bool({"abstract", "native"} & set(flags))
         self.registers: int | None = None
         self.locals: int | None = None
-        self.raw: list[_RawInstruction] = []
+        self.raw: list[_Raw] = []
         self.pending_labels: list[str] = []
         self.lowered = 0
 
@@ -234,21 +243,19 @@ class _MethodParser:
         return (0 if self.is_static else 1) + sum(type_words(p) for p in params)
 
     def feed(self, line: str, line_no: int) -> None:
-        if line.startswith(".registers"):
-            self.registers = _parse_count(line, ".registers", line_no)
-            return
-        if line.startswith(".locals"):
-            self.locals = _parse_count(line, ".locals", line_no)
-            return
-        if _LABEL_RE.match(line):
+        if line[0] == ".":  # only .registers and .locals are fed
+            if line.startswith(".registers"):
+                self.registers = _parse_count(line, ".registers", line_no)
+                return
+            if line.startswith(".locals"):
+                self.locals = _parse_count(line, ".locals", line_no)
+                return
+        elif line[0] == ":" and _LABEL_RE.match(line):
             self.pending_labels.append(line)
             return
         first = line.split(None, 1)
-        mnemonic = first[0]
         rest = first[1] if len(first) > 1 else ""
-        self.raw.append(
-            _RawInstruction(line_no, mnemonic, rest, tuple(self.pending_labels))
-        )
+        self.raw.append((line_no, first[0], rest, tuple(self.pending_labels)))
         self.pending_labels.clear()
 
     def finish(self, end_line: int) -> MethodIR:
@@ -256,7 +263,7 @@ class _MethodParser:
             if self.raw:
                 raise SmaliSyntaxError(
                     f"abstract/native method {self.name} has instructions",
-                    self.raw[0].line_no,
+                    self.raw[0][0],
                 )
             return MethodIR(
                 owner=self.owner,
@@ -286,23 +293,30 @@ class _MethodParser:
             )
 
         label_to_index: dict[str, int] = {}
-        for idx, raw in enumerate(self.raw):
-            for label in raw.labels:
+        for idx, (line_no, _, _, labels) in enumerate(self.raw):
+            for label in labels:
                 if label in label_to_index:
-                    raise SmaliSyntaxError(f"duplicate label {label}", raw.line_no)
+                    raise SmaliSyntaxError(f"duplicate label {label}", line_no)
                 label_to_index[label] = idx
 
-        instructions: list[Instruction] = []
-        for idx, raw in enumerate(self.raw):
-            instructions.append(
-                self._build(idx, raw, registers, param_words, label_to_index)
-            )
+        # a token maps to the same register everywhere in one method; only
+        # tokens `_reg` accepted are remembered, so every error still raises
+        seen: dict[str, int] = {}
+
+        def reg(token: str, line_no: int) -> int:
+            n = seen.get(token)
+            if n is None:
+                n = seen[token] = self._reg(token, registers, param_words, line_no)
+            return n
+
         method = MethodIR(
             owner=self.owner,
             name=self.name,
             descriptor=self.descriptor,
             registers=registers,
-            instructions=tuple(instructions),
+            instructions=tuple(
+                [self._build(idx, raw, reg, label_to_index) for idx, raw in enumerate(self.raw)]
+            ),
             is_abstract_or_native=False,
             is_static=self.is_static,
             lowered_count=self.lowered,
@@ -326,136 +340,114 @@ class _MethodParser:
     def _build(
         self,
         idx: int,
-        raw: _RawInstruction,
-        registers: int,
-        param_words: int,
+        raw: _Raw,
+        reg: _RegFn,
         labels: dict[str, int],
     ) -> Instruction:
-        opcode = _MNEMONIC_ALIASES.get(raw.mnemonic)
+        line_no, mnemonic, rest, _ = raw
+        opcode = _MNEMONIC_ALIASES.get(mnemonic)
         if opcode is None:
-            if _MNEMONIC_RE.match(raw.mnemonic):
+            if _MNEMONIC_RE.match(mnemonic):
                 # recognized smali shape, outside the subset
                 self.lowered += 1
-                return Instruction(index=idx, opcode=Opcode.NOP)
-            raise SmaliSyntaxError(f"unrecognized opcode {raw.mnemonic!r}", raw.line_no)
+                return Instruction(idx, Opcode.NOP)
+            raise SmaliSyntaxError(f"unrecognized opcode {mnemonic!r}", line_no)
 
-        def reg(tok: str) -> int:
-            return self._reg(tok, registers, param_words, raw.line_no)
-
-        rest = raw.rest.strip()
         if opcode is Opcode.CONST_STRING:
-            m = re.match(r'^([vp]\d+)\s*,\s*"(.*)"$', rest, re.DOTALL)
+            m = _CONST_STRING_RE.match(rest)
             if not m:
-                raise SmaliSyntaxError("malformed const-string", raw.line_no)
-            return Instruction(
-                index=idx,
-                opcode=opcode,
-                operands=(reg(m.group(1)),),
-                literal=_unescape(m.group(2), raw.line_no),
-            )
+                raise SmaliSyntaxError("malformed const-string", line_no)
+            operands = (reg(m.group(1), line_no),)
+            literal = m.group(2)
+            if "\\" in literal:
+                literal = _unescape(literal, line_no)
+            return Instruction(idx, opcode, operands, literal=literal)
         if opcode is Opcode.MOVE:
-            parts = _split_args(rest, 2, raw.line_no)
-            return Instruction(idx, opcode, (reg(parts[0]), reg(parts[1])))
-        if opcode in (
-            Opcode.INVOKE_VIRTUAL,
-            Opcode.INVOKE_STATIC,
-            Opcode.INVOKE_DIRECT,
-            Opcode.INVOKE_INTERFACE,
-        ):
-            m = re.match(r"^\{(.*)\}\s*,\s*(\S+)$", rest)
+            parts = _split_args(rest, 2, line_no)
+            return Instruction(idx, opcode, (reg(parts[0], line_no), reg(parts[1], line_no)))
+        if opcode in INVOKE_OPCODES:
+            m = _INVOKE_RE.match(rest)
             if not m:
-                raise SmaliSyntaxError("malformed invoke", raw.line_no)
-            regs = self._invoke_regs(m.group(1), registers, param_words, raw.line_no)
+                raise SmaliSyntaxError("malformed invoke", line_no)
+            regs = _invoke_regs(m.group(1), reg, line_no)
             ref = _METHOD_REF_RE.match(m.group(2))
             if not ref:
                 raise SmaliSyntaxError(
-                    f"malformed method reference {m.group(2)!r}", raw.line_no
+                    f"malformed method reference {m.group(2)!r}", line_no
                 )
-            return Instruction(
-                idx,
-                opcode,
-                tuple(regs),
-                method_ref=MethodRef(ref["owner"], ref["name"], ref["desc"]),
-            )
+            return Instruction(idx, opcode, regs, method_ref=MethodRef(*ref.groups()))
         if opcode is Opcode.MOVE_RESULT:
-            return Instruction(idx, opcode, (reg(rest),))
+            return Instruction(idx, opcode, (reg(rest, line_no),))
         if opcode is Opcode.RETURN_VOID:
             if rest:
-                raise SmaliSyntaxError("return-void takes no operands", raw.line_no)
+                raise SmaliSyntaxError("return-void takes no operands", line_no)
             return Instruction(idx, opcode)
-        if opcode in (Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE):
-            return Instruction(idx, opcode, (reg(rest),))
-        if opcode in (Opcode.IF_EQZ, Opcode.IF_NEZ):
-            parts = _split_args(rest, 2, raw.line_no)
-            target = self._label(parts[1], labels, raw.line_no)
-            return Instruction(idx, opcode, (reg(parts[0]),), branch_target=target)
-        if opcode in (Opcode.IF_EQ, Opcode.IF_NE):
-            parts = _split_args(rest, 3, raw.line_no)
-            target = self._label(parts[2], labels, raw.line_no)
+        if opcode is Opcode.RETURN_OBJECT or opcode is Opcode.RETURN_VALUE:
+            return Instruction(idx, opcode, (reg(rest, line_no),))
+        if opcode is Opcode.IF_EQZ or opcode is Opcode.IF_NEZ:
+            parts = _split_args(rest, 2, line_no)
+            target = _label(parts[1], labels, line_no)
+            return Instruction(idx, opcode, (reg(parts[0], line_no),), branch_target=target)
+        if opcode is Opcode.IF_EQ or opcode is Opcode.IF_NE:
+            parts = _split_args(rest, 3, line_no)
+            target = _label(parts[2], labels, line_no)
             return Instruction(
-                idx, opcode, (reg(parts[0]), reg(parts[1])), branch_target=target
+                idx,
+                opcode,
+                (reg(parts[0], line_no), reg(parts[1], line_no)),
+                branch_target=target,
             )
         if opcode is Opcode.GOTO:
-            target = self._label(rest, labels, raw.line_no)
+            target = _label(rest, labels, line_no)
             return Instruction(idx, opcode, branch_target=target)
         if opcode is Opcode.SGET_OBJECT:
-            parts = _split_args(rest, 2, raw.line_no)
+            parts = _split_args(rest, 2, line_no)
             ref = _FIELD_REF_RE.match(parts[1])
             if not ref:
-                raise SmaliSyntaxError(
-                    f"malformed field reference {parts[1]!r}", raw.line_no
-                )
+                raise SmaliSyntaxError(f"malformed field reference {parts[1]!r}", line_no)
             return Instruction(
-                idx,
-                opcode,
-                (reg(parts[0]),),
-                field_ref=FieldRef(ref["owner"], ref["name"], ref["desc"]),
+                idx, opcode, (reg(parts[0], line_no),), field_ref=FieldRef(*ref.groups())
             )
         if opcode is Opcode.IGET_OBJECT:
-            parts = _split_args(rest, 3, raw.line_no)
+            parts = _split_args(rest, 3, line_no)
             ref = _FIELD_REF_RE.match(parts[2])
             if not ref:
-                raise SmaliSyntaxError(
-                    f"malformed field reference {parts[2]!r}", raw.line_no
-                )
+                raise SmaliSyntaxError(f"malformed field reference {parts[2]!r}", line_no)
             return Instruction(
                 idx,
                 opcode,
-                (reg(parts[0]), reg(parts[1])),
-                field_ref=FieldRef(ref["owner"], ref["name"], ref["desc"]),
+                (reg(parts[0], line_no), reg(parts[1], line_no)),
+                field_ref=FieldRef(*ref.groups()),
             )
         if opcode is Opcode.NEW_INSTANCE:
-            parts = _split_args(rest, 2, raw.line_no)
+            parts = _split_args(rest, 2, line_no)
             if not _CLASS_RE.match(parts[1]):
-                raise SmaliSyntaxError(f"bad type {parts[1]!r}", raw.line_no)
-            return Instruction(idx, opcode, (reg(parts[0]),), type_ref=parts[1])
+                raise SmaliSyntaxError(f"bad type {parts[1]!r}", line_no)
+            return Instruction(idx, opcode, (reg(parts[0], line_no),), type_ref=parts[1])
         if opcode is Opcode.NOP:
             return Instruction(idx, opcode)
-        raise SmaliSyntaxError(f"unhandled opcode {raw.mnemonic}", raw.line_no)
+        raise SmaliSyntaxError(f"unhandled opcode {mnemonic}", line_no)
 
-    def _invoke_regs(
-        self, inner: str, registers: int, param_words: int, line_no: int
-    ) -> list[int]:
-        inner = inner.strip()
-        if not inner:
-            return []
-        if ".." in inner:
-            lo, hi = (t.strip() for t in inner.split("..", 1))
-            lo_n = self._reg(lo, registers, param_words, line_no)
-            hi_n = self._reg(hi, registers, param_words, line_no)
-            if hi_n < lo_n:
-                raise SmaliSyntaxError("bad register range", line_no)
-            return list(range(lo_n, hi_n + 1))
-        return [
-            self._reg(tok.strip(), registers, param_words, line_no)
-            for tok in inner.split(",")
-        ]
 
-    def _label(self, token: str, labels: dict[str, int], line_no: int) -> int:
-        token = token.strip()
-        if token not in labels:
-            raise SmaliSyntaxError(f"unknown label {token}", line_no)
-        return labels[token]
+def _invoke_regs(inner: str, reg: _RegFn, line_no: int) -> tuple[int, ...]:
+    inner = inner.strip()
+    if not inner:
+        return ()
+    if ".." in inner:
+        lo, hi = (t.strip() for t in inner.split("..", 1))
+        lo_n = reg(lo, line_no)
+        hi_n = reg(hi, line_no)
+        if hi_n < lo_n:
+            raise SmaliSyntaxError("bad register range", line_no)
+        return tuple(range(lo_n, hi_n + 1))
+    return tuple([reg(tok.strip(), line_no) for tok in inner.split(",")])
+
+
+def _label(token: str, labels: dict[str, int], line_no: int) -> int:
+    token = token.strip()
+    if token not in labels:
+        raise SmaliSyntaxError(f"unknown label {token}", line_no)
+    return labels[token]
 
 
 def _split_args(rest: str, n: int, line_no: int) -> list[str]:
@@ -478,7 +470,7 @@ def _split_method_header(header: str, line_no: int) -> tuple[tuple[str, ...], st
         raise SmaliSyntaxError("empty .method header", line_no)
     proto = tokens[-1]
     flags = tuple(tokens[:-1])
-    m = re.match(r"^(<?[A-Za-z0-9_$\-]+>?)(\(.*\).+)$", proto)
+    m = _METHOD_PROTO_RE.match(proto)
     if not m:
         raise SmaliSyntaxError(f"malformed method prototype {proto!r}", line_no)
     name, descriptor = m.group(1), m.group(2)
@@ -497,7 +489,7 @@ def parse_smali_class(text: str) -> ClassDef:
 
     lines = text.split("\n")
     for line_no, rawline in enumerate(lines, start=1):
-        line = _strip_comment(rawline).strip()
+        line = (_strip_comment(rawline) if "#" in rawline else rawline).strip()
         if not line:
             continue
         if skip_until is not None:
@@ -524,7 +516,7 @@ def parse_smali_class(text: str) -> ClassDef:
         if line.startswith(".implements"):
             continue
         if line.startswith(".field"):
-            m = re.match(r"^\.field\s+(?:[a-z]+\s+)*([A-Za-z0-9_$]+):(\S+)", line)
+            m = _FIELD_DIRECTIVE_RE.match(line)
             if not m or not _TYPE_RE.match(m.group(2)):
                 raise SmaliSyntaxError("malformed .field directive", line_no)
             fields.append((m.group(1), m.group(2)))
@@ -665,7 +657,8 @@ def load_program(root: str | Path) -> tuple[Program, list[Diagnostic]]:
     """Load every ``.smali`` file under ``root`` into a Program.
 
     Per-file parse failures and duplicate class names become diagnostics
-    instead of aborting the load; an empty result is an error.
+    instead of aborting the load; an empty result is an error that carries
+    them.
     """
     root = Path(root)
     if not root.is_dir():
@@ -691,5 +684,5 @@ def load_program(root: str | Path) -> tuple[Program, list[Diagnostic]]:
         seen[cls.class_name] = path
         classes.append(cls)
     if not classes:
-        raise ProgramLoadError(f"no classes loaded from {root}")
+        raise ProgramLoadError(f"no classes loaded from {root}", diagnostics)
     return Program(tuple(classes)), diagnostics

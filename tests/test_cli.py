@@ -246,6 +246,64 @@ def test_diagnostics_go_to_stderr(tmp_path, capsys):
     assert "bad.smali" in diag["path"]
 
 
+# one class that reaches Build.BRAND through a D8 nest accessor
+NEST_PROBE = """
+.class public Lcom/foo/Bar;
+.super Ljava/lang/Object;
+
+.method private static brand()Ljava/lang/String;
+    .registers 1
+    sget-object v0, Landroid/os/Build;->BRAND:Ljava/lang/String;
+    return-object v0
+.end method
+
+.method static synthetic -$$Nest$mbrand()Ljava/lang/String;
+    .registers 1
+    invoke-static {}, Lcom/foo/Bar;->brand()Ljava/lang/String;
+    move-result-object v0
+    return-object v0
+.end method
+
+.method public check()V
+    .registers 3
+    invoke-static {}, Lcom/foo/Bar;->-$$Nest$mbrand()Ljava/lang/String;
+    move-result-object v0
+    const-string v1, "xiaomi"
+    invoke-virtual {v0, v1}, Ljava/lang/String;->equals(Ljava/lang/Object;)Z
+    move-result v0
+    if-eqz v0, :skip
+    const-string v1, "com.miui.securitycenter"
+    :skip
+    return-void
+.end method
+"""
+
+
+def test_nest_accessor_probe_finds_guard(tmp_path, capsys):
+    (tmp_path / "Bar.smali").write_text(NEST_PROBE, encoding="utf-8")
+    assert main(["scan", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["diagnostics"], report["brands"]) == ([], ["Xiaomi"])
+
+
+def test_failed_load_keeps_its_diagnostics(tmp_path, capsys):
+    # the probe with a reference the parser rejects, so no class loads
+    broken = NEST_PROBE.replace(";->-$$Nest$mbrand", ";.-$$Nest$mbrand")
+    (tmp_path / "Bar.smali").write_text(broken, encoding="utf-8")
+    assert main(["scan", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["analysis_status"] == "failed"
+    assert report["failure_reason"] == f"no classes loaded from {tmp_path}"
+    diagnostic = {
+        "path": str(tmp_path / "Bar.smali"),
+        "message": "line 20, col 1: malformed method reference "
+        "'Lcom/foo/Bar;.-$$Nest$mbrand()Ljava/lang/String;'",
+    }
+    assert report["diagnostics"] == [diagnostic]
+    assert [json.loads(line) for line in captured.err.splitlines()] == [diagnostic]
+
+
 def test_dump_taint_emits_json_lines(capsys):
     assert main(["scan", smali_root("libskip"), "--dump-taint"]) == 0
     err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]

@@ -478,3 +478,164 @@ def test_validate_instruction_rejects_extra_slots():
     ins = Instruction(0, Opcode.NOP, (), literal="x")
     with pytest.raises(IRError):
         validate_instruction(ins)
+
+
+# -- parser contract: one bad input per SmaliSyntaxError kind ----------------
+
+_HEAD = ".class public Lcom/app/K;\n.super Ljava/lang/Object;\n"
+
+
+def _method(*body, header="public static f()V", registers=2):
+    lines = "".join(f"    {line}\n" for line in body)
+    return f".method {header}\n    .registers {registers}\n{lines}.end method\n"
+
+
+# kind -> (smali source, line, exact message); the class starts at line 1,
+# so a method's first body line is line 5
+SYNTAX_ERRORS = {
+    "bad register": (
+        _HEAD + _method("move-result x0", "return-void"), 5, "bad register 'x0'"),
+    "register out of range": (
+        _HEAD + _method('const-string v5, "x"', "return-void"), 5, "register v5 out of range"),
+    "malformed const-string": (
+        _HEAD + _method("const-string v0,", "return-void"), 5, "malformed const-string"),
+    "malformed invoke": (
+        _HEAD + _method("invoke-static v0, Lcom/app/K;->f()V", "return-void"), 5,
+        "malformed invoke"),
+    "malformed method reference": (
+        _HEAD + _method("invoke-static {}, Lcom/app/K;f()V", "return-void"), 5,
+        "malformed method reference 'Lcom/app/K;f()V'"),
+    "malformed field reference": (
+        _HEAD + _method("sget-object v0, Landroid/os/Build;->BRAND", "return-void"), 5,
+        "malformed field reference 'Landroid/os/Build;->BRAND'"),
+    "wrong operand count": (
+        _HEAD + _method("move-object v0", "return-void"), 5, "expected 2 operands, got 'v0'"),
+    "unknown label": (
+        _HEAD + _method("goto :nowhere", "return-void"), 5, "unknown label :nowhere"),
+    "duplicate label": (
+        _HEAD + _method(":a", "nop", ":a", "return-void"), 8, "duplicate label :a"),
+    "trailing label": (
+        _HEAD + _method("return-void", ":end"), 7, "label :end has no following instruction"),
+    "return-void with operands": (
+        _HEAD + _method("return-void v0"), 5, "return-void takes no operands"),
+    "unrecognized opcode": (
+        _HEAD + _method("Frob v0", "return-void"), 5, "unrecognized opcode 'Frob'"),
+    "bad type": (
+        _HEAD + _method("new-instance v0, Lcom/app/K", "return-void"), 5, "bad type 'Lcom/app/K'"),
+    ".registers below parameter count": (
+        _HEAD + _method("return-void", header="public f(Ljava/lang/String;)V", registers=1), 3,
+        ".registers 1 below parameter count 2"),
+    "abstract method with a body": (
+        _HEAD + ".method public abstract f()V\n    return-void\n.end method\n", 4,
+        "abstract/native method f has instructions"),
+    "duplicate method": (
+        _HEAD + _method("return-void") + _method("return-void"), 1,
+        "Lcom/app/K;: duplicate method f()V"),
+    "nested .method": (
+        _HEAD + ".method public static f()V\n.method public static g()V\n.end method\n", 4,
+        "nested .method"),
+    "missing .end method": (
+        _HEAD + ".method public static f()V\n    .registers 1\n    return-void\n", 6,
+        "missing .end method"),
+    "unterminated block": (
+        _HEAD + ".annotation system Ldalvik/annotation/Signature;\n    value = {}\n", 5,
+        "unterminated block (expected .end annotation)"),
+    "unknown escape": (
+        _HEAD + _method('const-string v0, "a\\qb"', "return-void"), 5, "unknown escape \\q"),
+    "bad register range": (
+        _HEAD + _method("invoke-static/range {v1 .. v0}, Lcom/app/K;->g(II)V", "return-void"), 5,
+        "bad register range"),
+    # when one line breaks two rules, the first check in parse order wins
+    "register checked before escape": (
+        _HEAD + _method('const-string v9, "a\\qb"', "return-void"), 5, "register v9 out of range"),
+    "label checked before register": (
+        _HEAD + _method("if-eqz v9, :nowhere", "return-void"), 5, "unknown label :nowhere"),
+    "first bad line wins": (
+        _HEAD + _method("move-result x0", "goto :nowhere"), 5, "bad register 'x0'"),
+    # a register valid in one method is checked again in the next
+    "registers are per method": (
+        _HEAD + _method("move-result v1", "return-void")
+        + _method("move-result v1", "return-void", header="public static g()V", registers=1), 10,
+        "register v1 out of range"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SYNTAX_ERRORS))
+def test_syntax_error_contract(kind):
+    text, line, message = SYNTAX_ERRORS[kind]
+    with pytest.raises(SmaliSyntaxError) as err:
+        parse_smali_class(text)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}, col 1: {message}")
+
+
+def test_method_reference_name_may_hold_dash():
+    # D8 nest accessors: `-$$Nest$m<name>` in headers and references alike
+    accessor = "Lcom/app/K;->-$$Nest$mbrand(Lcom/app/K;)Ljava/lang/String;"
+    cls = parse_smali_class(
+        _HEAD
+        + _method(
+            f"invoke-static {{p0}}, {accessor}",
+            "return-void",
+            header="static synthetic -$$Nest$mbrand(Lcom/app/K;)Ljava/lang/String;",
+            registers=1,
+        )
+    )
+    (method,) = cls.methods
+    assert method.name == "-$$Nest$mbrand"
+    assert str(method.instructions[0].method_ref) == accessor
+
+
+# -- IR contract -------------------------------------------------------------
+
+
+def test_instruction_contract():
+    import inspect
+
+    params = inspect.signature(Instruction).parameters
+    assert [(p.name, p.default) for p in params.values()] == [
+        ("index", inspect.Parameter.empty),
+        ("opcode", inspect.Parameter.empty),
+        ("operands", ()),
+        ("literal", None),
+        ("field_ref", None),
+        ("method_ref", None),
+        ("type_ref", None),
+        ("branch_target", None),
+    ]
+    ins = Instruction(3, Opcode.GOTO, branch_target=0)
+    assert (ins.index, ins.opcode, ins.operands, ins.branch_target) == (3, Opcode.GOTO, (), 0)
+    assert ins == Instruction(3, Opcode.GOTO, (), None, None, None, None, 0)
+    returns = {Opcode.RETURN_VOID, Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE}
+    for op in Opcode:
+        assert Instruction(0, op).is_return() is (op in returns)
+
+
+def test_refs_and_opcodes_contract():
+    from devscan.ir import FieldRef, MethodRef
+
+    field = FieldRef("La/B;", "x", "I")
+    method = MethodRef("La/B;", "x", "I")
+    assert field != method and method != field
+    assert field == FieldRef("La/B;", "x", "I")
+    assert hash(field) == hash(FieldRef("La/B;", "x", "I"))
+    assert len({field, method}) == 2
+    table = {op: op.value for op in Opcode}
+    assert all(table[op] == op.value for op in Opcode) and len(table) == 19
+    members = frozenset({Opcode.MOVE, Opcode.NOP})
+    assert Opcode.NOP in members and Opcode.GOTO not in members
+    assert Opcode("nop") in members
+
+
+@pytest.mark.parametrize(
+    "ins, message",
+    [
+        (Instruction(0, Opcode.MOVE, (1,)), "move at 0: expected 2 register operands, got 1"),
+        (Instruction(1, Opcode.GOTO), "goto at 1: missing branch_target"),
+        (Instruction(2, Opcode.CONST_STRING, (0,), "s", type_ref="La/B;"),
+         "const-string at 2: unexpected type_ref"),
+    ],
+)
+def test_validate_instruction_messages(ins, message):
+    with pytest.raises(IRError) as err:
+        validate_instruction(ins)
+    assert str(err.value) == message

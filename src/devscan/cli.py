@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 usage, 2 input error, 3 partial (timeout), 4 internal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -99,10 +100,17 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
+def _batch_inputs(db_path: str | None, rules_path: str | None):
+    """The batch's `--db` and `--rules`, loaded once per process, not per row."""
+    db = load_device_db(db_path) if db_path else None
+    rules = load_rules(rules_path) if rules_path else None
+    return db, rules
+
+
 def _batch_row(row: tuple[str, str, str | None, str], args_dict: dict) -> dict:
     app_id, smali_root, apk, market = row
-    db = load_device_db(args_dict["db"]) if args_dict["db"] else None
-    rules = load_rules(args_dict["rules"]) if args_dict["rules"] else None
+    db, rules = _batch_inputs(args_dict["db"], args_dict["rules"])
     try:
         report = analyze_app(
             smali_root,
@@ -154,6 +162,8 @@ def _parse_manifest(path: Path) -> list[tuple[str, str, str | None, str]]:
 
 def cmd_batch(args) -> int:
     rows = _parse_manifest(Path(args.manifest))
+    # files may have changed since an earlier batch in this process
+    _batch_inputs.cache_clear()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     args_dict = {

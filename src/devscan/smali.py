@@ -214,33 +214,56 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-# one instruction line: (line_no, mnemonic, rest, labels); `rest` is stripped
-_Raw = tuple[int, str, str, tuple[str, ...]]
-# maps a register token to its index, raising SmaliSyntaxError at line_no
-_RegFn = Callable[[str, int], int]
+# one instruction line: (line_no, text, labels); `text` is stripped
+_Raw = tuple[int, str, tuple[str, ...]]
+# what `_build` decodes from one instruction line: the Instruction fields
+# from `opcode` to `type_ref`, the branch's label token, and whether the
+# mnemonic was lowered to nop
+_Decoded = tuple[tuple, str | None, bool]
+# `.method` header text -> (name, descriptor, is_static,
+# is_abstract_or_native, parameter words)
+_Header = tuple[str, str, bool, bool, int]
+
+
+class _DecodeMemo:
+    """What one load has decoded, reused wherever the same text recurs.
+
+    Decoded values are immutable, so a repeated line shares its operand
+    tuple, literal and reference objects with the first (hash-consing).
+    ``lines`` maps a method's register context ``(registers, param_words)``,
+    which decides every register a line names, to a dict from instruction
+    text to its :data:`_Decoded`. Only successful decodes are stored, so a
+    bad line is decoded, and rejected, wherever it appears.
+    """
+
+    __slots__ = ("headers", "lines")
+
+    def __init__(self) -> None:
+        self.headers: dict[str, _Header] = {}
+        self.lines: dict[tuple[int, int], dict[str, _Decoded]] = {}
 
 
 class _MethodParser:
     """Parses one `.method` body into a MethodIR."""
 
-    def __init__(self, owner: str, header: str, line_no: int):
+    def __init__(self, owner: str, header: str, line_no: int, memo: _DecodeMemo):
         self.owner = owner
         self.line_no = line_no
-        flags, name, descriptor = _split_method_header(header, line_no)
-        self.name = name
-        self.descriptor = descriptor
-        self.flags = flags
-        self.is_static = "static" in flags
-        self.is_abstract_or_native = bool({"abstract", "native"} & set(flags))
+        self.memo = memo
+        parsed = memo.headers.get(header)
+        if parsed is None:
+            parsed = memo.headers[header] = _split_method_header(header, line_no)
+        (
+            self.name,
+            self.descriptor,
+            self.is_static,
+            self.is_abstract_or_native,
+            self.param_words,
+        ) = parsed
         self.registers: int | None = None
         self.locals: int | None = None
         self.raw: list[_Raw] = []
         self.pending_labels: list[str] = []
-        self.lowered = 0
-
-    def param_words(self) -> int:
-        params, _ = parse_method_descriptor(self.descriptor)
-        return (0 if self.is_static else 1) + sum(type_words(p) for p in params)
 
     def feed(self, line: str, line_no: int) -> None:
         if line[0] == ".":  # only .registers and .locals are fed
@@ -253,9 +276,7 @@ class _MethodParser:
         elif line[0] == ":" and _LABEL_RE.match(line):
             self.pending_labels.append(line)
             return
-        first = line.split(None, 1)
-        rest = first[1] if len(first) > 1 else ""
-        self.raw.append((line_no, first[0], rest, tuple(self.pending_labels)))
+        self.raw.append((line_no, line, tuple(self.pending_labels)))
         self.pending_labels.clear()
 
     def finish(self, end_line: int) -> MethodIR:
@@ -269,7 +290,7 @@ class _MethodParser:
                 owner=self.owner,
                 name=self.name,
                 descriptor=self.descriptor,
-                registers=self.param_words(),
+                registers=self.param_words,
                 instructions=(),
                 is_abstract_or_native=True,
                 is_static=self.is_static,
@@ -279,7 +300,7 @@ class _MethodParser:
                 f"label {self.pending_labels[-1]} has no following instruction",
                 end_line,
             )
-        param_words = self.param_words()
+        param_words = self.param_words
         if self.registers is not None:
             registers = self.registers
         elif self.locals is not None:
@@ -293,33 +314,35 @@ class _MethodParser:
             )
 
         label_to_index: dict[str, int] = {}
-        for idx, (line_no, _, _, labels) in enumerate(self.raw):
+        for idx, (line_no, _, labels) in enumerate(self.raw):
             for label in labels:
                 if label in label_to_index:
                     raise SmaliSyntaxError(f"duplicate label {label}", line_no)
                 label_to_index[label] = idx
 
-        # a token maps to the same register everywhere in one method; only
-        # tokens `_reg` accepted are remembered, so every error still raises
-        seen: dict[str, int] = {}
-
-        def reg(token: str, line_no: int) -> int:
-            n = seen.get(token)
-            if n is None:
-                n = seen[token] = self._reg(token, registers, param_words, line_no)
-            return n
+        decoded_lines = self.memo.lines.setdefault((registers, param_words), {})
+        instructions: list[Instruction] = []
+        lowered = 0
+        for idx, (line_no, text, _) in enumerate(self.raw):
+            decoded = decoded_lines.get(text)
+            if decoded is None:
+                decoded = _build(text, line_no, registers, param_words, label_to_index)
+                decoded_lines[text] = decoded
+            fields, label, is_lowered = decoded
+            # a label names an index in this method only
+            target = None if label is None else _label(label, label_to_index, line_no)
+            instructions.append(Instruction(idx, *fields, target))
+            lowered += is_lowered
 
         method = MethodIR(
             owner=self.owner,
             name=self.name,
             descriptor=self.descriptor,
             registers=registers,
-            instructions=tuple(
-                [self._build(idx, raw, reg, label_to_index) for idx, raw in enumerate(self.raw)]
-            ),
+            instructions=tuple(instructions),
             is_abstract_or_native=False,
             is_static=self.is_static,
-            lowered_count=self.lowered,
+            lowered_count=lowered,
         )
         try:
             method.validate()
@@ -327,120 +350,138 @@ class _MethodParser:
             raise SmaliSyntaxError(str(exc), self.line_no)
         return method
 
-    def _reg(self, token: str, registers: int, param_words: int, line_no: int) -> int:
-        if not _REGISTER_RE.match(token):
-            raise SmaliSyntaxError(f"bad register {token!r}", line_no)
-        n = int(token[1:])
-        if token[0] == "p":
-            n = registers - param_words + n
-        if not 0 <= n < registers:
-            raise SmaliSyntaxError(f"register {token} out of range", line_no)
-        return n
 
-    def _build(
-        self,
-        idx: int,
-        raw: _Raw,
-        reg: _RegFn,
-        labels: dict[str, int],
-    ) -> Instruction:
-        line_no, mnemonic, rest, _ = raw
-        opcode = _MNEMONIC_ALIASES.get(mnemonic)
-        if opcode is None:
-            if _MNEMONIC_RE.match(mnemonic):
-                # recognized smali shape, outside the subset
-                self.lowered += 1
-                return Instruction(idx, Opcode.NOP)
-            raise SmaliSyntaxError(f"unrecognized opcode {mnemonic!r}", line_no)
+def _reg(token: str, registers: int, param_words: int, line_no: int) -> int:
+    if not _REGISTER_RE.match(token):
+        raise SmaliSyntaxError(f"bad register {token!r}", line_no)
+    n = int(token[1:])
+    if token[0] == "p":
+        n = registers - param_words + n
+    if not 0 <= n < registers:
+        raise SmaliSyntaxError(f"register {token} out of range", line_no)
+    return n
 
-        if opcode is Opcode.CONST_STRING:
-            m = _CONST_STRING_RE.match(rest)
-            if not m:
-                raise SmaliSyntaxError("malformed const-string", line_no)
-            operands = (reg(m.group(1), line_no),)
-            literal = m.group(2)
-            if "\\" in literal:
-                literal = _unescape(literal, line_no)
-            return Instruction(idx, opcode, operands, literal=literal)
-        if opcode is Opcode.MOVE:
-            parts = _split_args(rest, 2, line_no)
-            return Instruction(idx, opcode, (reg(parts[0], line_no), reg(parts[1], line_no)))
-        if opcode in INVOKE_OPCODES:
-            m = _INVOKE_RE.match(rest)
-            if not m:
-                raise SmaliSyntaxError("malformed invoke", line_no)
-            regs = _invoke_regs(m.group(1), reg, line_no)
-            ref = _METHOD_REF_RE.match(m.group(2))
-            if not ref:
-                raise SmaliSyntaxError(
-                    f"malformed method reference {m.group(2)!r}", line_no
-                )
-            return Instruction(idx, opcode, regs, method_ref=MethodRef(*ref.groups()))
-        if opcode is Opcode.MOVE_RESULT:
-            return Instruction(idx, opcode, (reg(rest, line_no),))
-        if opcode is Opcode.RETURN_VOID:
-            if rest:
-                raise SmaliSyntaxError("return-void takes no operands", line_no)
-            return Instruction(idx, opcode)
-        if opcode is Opcode.RETURN_OBJECT or opcode is Opcode.RETURN_VALUE:
-            return Instruction(idx, opcode, (reg(rest, line_no),))
-        if opcode is Opcode.IF_EQZ or opcode is Opcode.IF_NEZ:
-            parts = _split_args(rest, 2, line_no)
-            target = _label(parts[1], labels, line_no)
-            return Instruction(idx, opcode, (reg(parts[0], line_no),), branch_target=target)
-        if opcode is Opcode.IF_EQ or opcode is Opcode.IF_NE:
-            parts = _split_args(rest, 3, line_no)
-            target = _label(parts[2], labels, line_no)
-            return Instruction(
-                idx,
-                opcode,
-                (reg(parts[0], line_no), reg(parts[1], line_no)),
-                branch_target=target,
+
+def _decoded(
+    opcode: Opcode,
+    operands: tuple[int, ...] = (),
+    literal: str | None = None,
+    field_ref: FieldRef | None = None,
+    method_ref: MethodRef | None = None,
+    type_ref: str | None = None,
+    label: str | None = None,
+    lowered: bool = False,
+) -> _Decoded:
+    return (opcode, operands, literal, field_ref, method_ref, type_ref), label, lowered
+
+
+def _build(
+    text: str,
+    line_no: int,
+    registers: int,
+    param_words: int,
+    labels: dict[str, int],
+) -> _Decoded:
+    """Decode one instruction line, checking it in a fixed order.
+
+    The result depends on ``labels`` only through the label check, so it
+    holds for any line with the same text and register context; the caller
+    resolves the returned label token itself.
+    """
+
+    def reg(token: str) -> int:
+        return _reg(token, registers, param_words, line_no)
+
+    first = text.split(None, 1)
+    mnemonic = first[0]
+    rest = first[1] if len(first) > 1 else ""
+    opcode = _MNEMONIC_ALIASES.get(mnemonic)
+    if opcode is None:
+        if _MNEMONIC_RE.match(mnemonic):
+            # recognized smali shape, outside the subset
+            return _decoded(Opcode.NOP, lowered=True)
+        raise SmaliSyntaxError(f"unrecognized opcode {mnemonic!r}", line_no)
+
+    if opcode is Opcode.CONST_STRING:
+        m = _CONST_STRING_RE.match(rest)
+        if not m:
+            raise SmaliSyntaxError("malformed const-string", line_no)
+        operands = (reg(m.group(1)),)
+        literal = m.group(2)
+        if "\\" in literal:
+            literal = _unescape(literal, line_no)
+        return _decoded(opcode, operands, literal=literal)
+    if opcode is Opcode.MOVE:
+        parts = _split_args(rest, 2, line_no)
+        return _decoded(opcode, (reg(parts[0]), reg(parts[1])))
+    if opcode in INVOKE_OPCODES:
+        m = _INVOKE_RE.match(rest)
+        if not m:
+            raise SmaliSyntaxError("malformed invoke", line_no)
+        regs = _invoke_regs(m.group(1), reg, line_no)
+        ref = _METHOD_REF_RE.match(m.group(2))
+        if not ref:
+            raise SmaliSyntaxError(
+                f"malformed method reference {m.group(2)!r}", line_no
             )
-        if opcode is Opcode.GOTO:
-            target = _label(rest, labels, line_no)
-            return Instruction(idx, opcode, branch_target=target)
-        if opcode is Opcode.SGET_OBJECT:
-            parts = _split_args(rest, 2, line_no)
-            ref = _FIELD_REF_RE.match(parts[1])
-            if not ref:
-                raise SmaliSyntaxError(f"malformed field reference {parts[1]!r}", line_no)
-            return Instruction(
-                idx, opcode, (reg(parts[0], line_no),), field_ref=FieldRef(*ref.groups())
-            )
-        if opcode is Opcode.IGET_OBJECT:
-            parts = _split_args(rest, 3, line_no)
-            ref = _FIELD_REF_RE.match(parts[2])
-            if not ref:
-                raise SmaliSyntaxError(f"malformed field reference {parts[2]!r}", line_no)
-            return Instruction(
-                idx,
-                opcode,
-                (reg(parts[0], line_no), reg(parts[1], line_no)),
-                field_ref=FieldRef(*ref.groups()),
-            )
-        if opcode is Opcode.NEW_INSTANCE:
-            parts = _split_args(rest, 2, line_no)
-            if not _CLASS_RE.match(parts[1]):
-                raise SmaliSyntaxError(f"bad type {parts[1]!r}", line_no)
-            return Instruction(idx, opcode, (reg(parts[0], line_no),), type_ref=parts[1])
-        if opcode is Opcode.NOP:
-            return Instruction(idx, opcode)
-        raise SmaliSyntaxError(f"unhandled opcode {mnemonic}", line_no)
+        return _decoded(opcode, regs, method_ref=MethodRef(*ref.groups()))
+    if opcode is Opcode.MOVE_RESULT:
+        return _decoded(opcode, (reg(rest),))
+    if opcode is Opcode.RETURN_VOID:
+        if rest:
+            raise SmaliSyntaxError("return-void takes no operands", line_no)
+        return _decoded(opcode)
+    if opcode is Opcode.RETURN_OBJECT or opcode is Opcode.RETURN_VALUE:
+        return _decoded(opcode, (reg(rest),))
+    if opcode is Opcode.IF_EQZ or opcode is Opcode.IF_NEZ:
+        parts = _split_args(rest, 2, line_no)
+        _label(parts[1], labels, line_no)
+        return _decoded(opcode, (reg(parts[0]),), label=parts[1])
+    if opcode is Opcode.IF_EQ or opcode is Opcode.IF_NE:
+        parts = _split_args(rest, 3, line_no)
+        _label(parts[2], labels, line_no)
+        return _decoded(opcode, (reg(parts[0]), reg(parts[1])), label=parts[2])
+    if opcode is Opcode.GOTO:
+        _label(rest, labels, line_no)
+        return _decoded(opcode, label=rest)
+    if opcode is Opcode.SGET_OBJECT:
+        parts = _split_args(rest, 2, line_no)
+        ref = _FIELD_REF_RE.match(parts[1])
+        if not ref:
+            raise SmaliSyntaxError(f"malformed field reference {parts[1]!r}", line_no)
+        return _decoded(opcode, (reg(parts[0]),), field_ref=FieldRef(*ref.groups()))
+    if opcode is Opcode.IGET_OBJECT:
+        parts = _split_args(rest, 3, line_no)
+        ref = _FIELD_REF_RE.match(parts[2])
+        if not ref:
+            raise SmaliSyntaxError(f"malformed field reference {parts[2]!r}", line_no)
+        return _decoded(
+            opcode,
+            (reg(parts[0]), reg(parts[1])),
+            field_ref=FieldRef(*ref.groups()),
+        )
+    if opcode is Opcode.NEW_INSTANCE:
+        parts = _split_args(rest, 2, line_no)
+        if not _CLASS_RE.match(parts[1]):
+            raise SmaliSyntaxError(f"bad type {parts[1]!r}", line_no)
+        return _decoded(opcode, (reg(parts[0]),), type_ref=parts[1])
+    if opcode is Opcode.NOP:
+        return _decoded(opcode)
+    raise SmaliSyntaxError(f"unhandled opcode {mnemonic}", line_no)
 
 
-def _invoke_regs(inner: str, reg: _RegFn, line_no: int) -> tuple[int, ...]:
+def _invoke_regs(inner: str, reg: Callable[[str], int], line_no: int) -> tuple[int, ...]:
     inner = inner.strip()
     if not inner:
         return ()
     if ".." in inner:
         lo, hi = (t.strip() for t in inner.split("..", 1))
-        lo_n = reg(lo, line_no)
-        hi_n = reg(hi, line_no)
+        lo_n = reg(lo)
+        hi_n = reg(hi)
         if hi_n < lo_n:
             raise SmaliSyntaxError("bad register range", line_no)
         return tuple(range(lo_n, hi_n + 1))
-    return tuple([reg(tok.strip(), line_no) for tok in inner.split(",")])
+    return tuple([reg(tok.strip()) for tok in inner.split(",")])
 
 
 def _label(token: str, labels: dict[str, int], line_no: int) -> int:
@@ -464,22 +505,31 @@ def _parse_count(line: str, directive: str, line_no: int) -> int:
     return int(rest)
 
 
-def _split_method_header(header: str, line_no: int) -> tuple[tuple[str, ...], str, str]:
+def _split_method_header(header: str, line_no: int) -> _Header:
     tokens = header.split()
     if not tokens:
         raise SmaliSyntaxError("empty .method header", line_no)
     proto = tokens[-1]
-    flags = tuple(tokens[:-1])
+    flags = tokens[:-1]
     m = _METHOD_PROTO_RE.match(proto)
     if not m:
         raise SmaliSyntaxError(f"malformed method prototype {proto!r}", line_no)
     name, descriptor = m.group(1), m.group(2)
-    parse_method_descriptor(descriptor)  # validates eagerly
-    return flags, name, descriptor
+    try:
+        params, _ = parse_method_descriptor(descriptor)
+    except IRError as exc:
+        raise SmaliSyntaxError(str(exc), line_no)
+    is_static = "static" in flags
+    param_words = (0 if is_static else 1) + sum(type_words(p) for p in params)
+    return name, descriptor, is_static, bool({"abstract", "native"} & set(flags)), param_words
 
 
 def parse_smali_class(text: str) -> ClassDef:
     """Parse the smali source of a single class."""
+    return _parse_class(text, _DecodeMemo())
+
+
+def _parse_class(text: str, memo: _DecodeMemo) -> ClassDef:
     class_name: str | None = None
     super_name: str | None = None
     fields: list[tuple[str, str]] = []
@@ -526,7 +576,7 @@ def parse_smali_class(text: str) -> ClassDef:
                 raise SmaliSyntaxError("nested .method", line_no)
             if class_name is None:
                 raise SmaliSyntaxError(".method before .class", line_no)
-            method = _MethodParser(class_name, line[len(".method") :].strip(), line_no)
+            method = _MethodParser(class_name, line[len(".method") :].strip(), line_no, memo)
             continue
         if line == ".end method":
             if method is None:
@@ -666,10 +716,12 @@ def load_program(root: str | Path) -> tuple[Program, list[Diagnostic]]:
     classes: list[ClassDef] = []
     seen: dict[str, Path] = {}
     diagnostics: list[Diagnostic] = []
+    # lives for this load only, so a batch's memory does not grow per app
+    memo = _DecodeMemo()
     for path in sorted(root.rglob("*.smali")):
         try:
             text = path.read_text(encoding="utf-8")
-            cls = parse_smali_class(text)
+            cls = _parse_class(text, memo)
         except (SmaliSyntaxError, UnicodeDecodeError) as exc:
             diagnostics.append(Diagnostic(str(path), str(exc)))
             continue

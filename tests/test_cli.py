@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import zipfile
@@ -85,6 +86,30 @@ def test_dump_taint_order_ignores_hash_seed(tmp_path):
     assert len(digests) == 1
 
 
+def test_scan_drops_only_class_with_malformed_descriptor(tmp_path, capsys):
+    root = tmp_path / "smali"
+    shutil.copytree(smali_root("oppo_perm"), root)
+    (root / "Bad.smali").write_text(
+        ".class public Lcom/app/Bad;\n.super Ljava/lang/Object;\n"
+        ".method public f(Landroid/content/Context)V\n    .registers 2\n"
+        "    return-void\n.end method\n",
+        encoding="utf-8",
+    )
+    reports = {}
+    for name, tree in (("alone", smali_root("oppo_perm")), ("with_bad", root)):
+        out = tmp_path / f"{name}.json"
+        assert main(["scan", str(tree), "--out", str(out)]) == 0
+        reports[name] = json.loads(out.read_text())
+    alone, with_bad = reports["alone"], reports["with_bad"]
+    assert with_bad["analysis_status"] == "ok"
+    assert (with_bad["guards"], with_bad["snippets"]) == (alone["guards"], alone["snippets"])
+    assert alone["guards"] > 0
+    assert with_bad["diagnostics"] == [{
+        "path": str(root / "Bad.smali"),
+        "message": "line 3, col 1: bad method descriptor: '(Landroid/content/Context)V'",
+    }]
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as err:
         main(["scan"])  # missing positional
@@ -166,6 +191,28 @@ def test_batch_row_crash_fails_only_that_row(tmp_path, capsys, monkeypatch):
     assert reports["a"]["analysis_status"] == reports["c"]["analysis_status"] == "ok"
     rows = capsys.readouterr().out.splitlines()
     assert [row.split("\t")[:2] for row in rows] == [["a", "ok"], ["b", "failed"], ["c", "ok"]]
+
+
+def test_batch_loads_db_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = devscan.cli.load_device_db
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(devscan.cli, "load_device_db", counting)
+    db = str(Path(devscan.__file__).parent / "data" / "device_db.csv")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(
+        "".join(f"{app_id}\t{smali_root('oppo_perm')}\n" for app_id in "abc"),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "reports"
+    args = ["batch", str(manifest), "--out-dir", str(out_dir), "--jobs", "1", "--db", db]
+    assert main(args) == 0
+    assert calls == [db]
+    assert len(list(out_dir.glob("*.json"))) == 3
 
 
 def test_aggregate_empty_dir(tmp_path, capsys):

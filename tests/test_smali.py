@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -552,6 +554,9 @@ SYNTAX_ERRORS = {
         _HEAD + _method("if-eqz v9, :nowhere", "return-void"), 5, "unknown label :nowhere"),
     "first bad line wins": (
         _HEAD + _method("move-result x0", "goto :nowhere"), 5, "bad register 'x0'"),
+    "malformed method descriptor": (
+        _HEAD + _method("return-void", header="public f(Landroid/content/Context)V"), 3,
+        "bad method descriptor: '(Landroid/content/Context)V'"),
     # a register valid in one method is checked again in the next
     "registers are per method": (
         _HEAD + _method("move-result v1", "return-void")
@@ -566,6 +571,58 @@ def test_syntax_error_contract(kind):
     with pytest.raises(SmaliSyntaxError) as err:
         parse_smali_class(text)
     assert (err.value.line, str(err.value)) == (line, f"line {line}, col 1: {message}")
+
+
+# -- one decode per distinct line per load ----------------------------------
+
+
+def test_load_program_equals_parsing_each_file_alone(all_fixture_ids):
+    from devscan.fixtures import corpus_root
+
+    for fid in all_fixture_ids:
+        root = corpus_root() / fid / "smali"
+        program, diagnostics = load_program(root)
+        assert diagnostics == []
+        alone = [
+            parse_smali_class(path.read_text(encoding="utf-8"))
+            for path in sorted(root.rglob("*.smali"))
+        ]
+        assert list(program.classes) == alone, fid
+
+
+def test_load_program_checks_registers_per_method(tmp_path):
+    # the same line in a method with fewer registers must fail again
+    (tmp_path / "A.smali").write_text(
+        _HEAD.replace("K;", "A;") + _method("move-object v3, v0", "return-void", registers=4),
+        encoding="utf-8",
+    )
+    (tmp_path / "B.smali").write_text(
+        _HEAD.replace("K;", "B;") + _method("move-object v3, v0", "return-void", registers=2),
+        encoding="utf-8",
+    )
+    program, diagnostics = load_program(tmp_path)
+    assert [cls.class_name for cls in program.classes] == ["Lcom/app/A;"]
+    assert [(Path(d.path).name, d.message) for d in diagnostics] == [
+        ("B.smali", "line 5, col 1: register v3 out of range")
+    ]
+
+
+def test_same_branch_line_resolves_per_method():
+    cls = parse_smali_class(
+        _HEAD
+        + _method("if-eqz v0, :a", "nop", ":a", "return-void")
+        + _method("if-eqz v0, :a", ":a", "return-void", header="public static g()V")
+    )
+    assert [m.instructions[0].branch_target for m in cls.methods] == [2, 1]
+
+
+def test_repeated_lowered_line_counts_each_time():
+    cls = parse_smali_class(
+        _HEAD
+        + _method("const/4 v0, 0x1", "const/4 v0, 0x1", "return-void")
+        + _method("const/4 v0, 0x1", "return-void", header="public static g()V")
+    )
+    assert [m.lowered_count for m in cls.methods] == [2, 1]
 
 
 def test_method_reference_name_may_hold_dash():

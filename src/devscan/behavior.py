@@ -16,6 +16,7 @@ from .ir import (
     MethodIR,
     Opcode,
     descriptor_to_dotted,
+    package_of,
 )
 from .taint import (
     ENTRY_DEF,
@@ -23,6 +24,7 @@ from .taint import (
     TaintResult,
     def_closure,
     feeding_invoke,
+    reaching_const_strings,
     reaching_definitions,
 )
 
@@ -268,9 +270,8 @@ def collect_guard_strings(site: GuardSite, cfg: CFG, rd: ReachingDefs) -> list[s
     if site.comparison_call is not None:
         invoke = method.instructions[site.comparison_call]
         for arg in invoke.operands:
-            for d in sorted(def_closure(method, rd, invoke.index, arg)):
-                if d >= 0 and method.instructions[d].opcode is Opcode.CONST_STRING:
-                    add(method.instructions[d].literal or "")
+            for lit in reaching_const_strings(method, rd, invoke.index, arg):
+                add(lit)
             follow(invoke.index, arg)
     follow(site.branch_instruction, site.condition_register)
 
@@ -309,10 +310,7 @@ def _matched_arm(site: GuardSite, method: MethodIR) -> Arm:
         return Arm.UNKNOWN
     # boolean comparisons: nonzero means the relation holds;
     # compareTo: zero means equal
-    if site.comparison is ComparisonKind.COMPARE_TO:
-        holds_when_nonzero = False
-    else:
-        holds_when_nonzero = True
+    holds_when_nonzero = site.comparison is not ComparisonKind.COMPARE_TO
     taken_on_nonzero = branch.opcode is Opcode.IF_NEZ
     return Arm.TAKEN if taken_on_nonzero == holds_when_nonzero else Arm.FALLTHROUGH
 
@@ -419,11 +417,8 @@ def extract_region(
         if callee in cfgs.methods:
             work.extend(scan(cfgs.methods[callee].instructions, callee))
 
-    packages = {descriptor_to_dotted(method.owner).rsplit(".", 1)[0] if "." in descriptor_to_dotted(method.owner) else ""}
-    for sig in reachable:
-        owner = sig.split("->", 1)[0]
-        dotted = descriptor_to_dotted(owner)
-        packages.add(dotted.rsplit(".", 1)[0] if "." in dotted else "")
+    packages = {package_of(method.owner)}
+    packages.update(package_of(sig.split("->", 1)[0]) for sig in reachable)
     packages.discard("")
 
     return BehaviorSnippet(

@@ -92,9 +92,10 @@ def load_fixture(fixture_id: str) -> Fixture:
 def validate_manifest(fixture: Fixture, program: Program) -> list[str]:
     """Annotation references that do not exist in the fixture program."""
     problems: list[str] = []
+    methods = {m.signature: m for m in program.methods()}
 
     def check_location(sig: str, index: int, what: str) -> None:
-        method = program.find_method(sig)
+        method = methods.get(sig)
         if method is None:
             problems.append(f"{what}: unknown method {sig}")
         elif not 0 <= index < len(method.instructions):
@@ -108,10 +109,10 @@ def validate_manifest(fixture: Fixture, program: Program) -> list[str]:
     for snippet in m.expected_snippets:
         check_location(snippet["guard_method"], snippet["guard_index"], "expected_snippets")
         for sig in snippet.get("reachable_methods", []):
-            if program.find_method(sig) is None:
+            if sig not in methods:
                 problems.append(f"expected_snippets: unknown reachable method {sig}")
     for sig, points in m.oracle_trace.items():
-        method = program.find_method(sig)
+        method = methods.get(sig)
         if method is None:
             problems.append(f"oracle_trace: unknown method {sig}")
             continue

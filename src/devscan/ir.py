@@ -8,6 +8,7 @@ object field reads, new-instance and nop. Everything else is lowered to
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -161,46 +162,36 @@ def written_register(ins: Instruction) -> int | None:
     return None
 
 
+_READS_EVERY_OPERAND = IF_OPCODES | INVOKE_OPCODES | {Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE}
+
+
 def read_registers(ins: Instruction) -> tuple[int, ...]:
     """Registers whose value the instruction consumes."""
-    if ins.opcode is Opcode.MOVE:
+    if ins.opcode is Opcode.MOVE or ins.opcode is Opcode.IGET_OBJECT:
         return (ins.operands[1],)
-    if ins.opcode is Opcode.IGET_OBJECT:
-        return (ins.operands[1],)
-    if ins.opcode in (Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE):
-        return ins.operands
-    if ins.opcode in IF_OPCODES:
-        return ins.operands
-    if ins.opcode in INVOKE_OPCODES:
+    if ins.opcode in _READS_EVERY_OPERAND:
         return ins.operands
     return ()
 
 
+_TYPE = r"\[*(?:L[^;]+;|[ZBSCIJFD])"
+_TYPE_RE = re.compile(_TYPE)
+# a parameter's class name ends before the ")" that closes the list
+_PARAM_RE = re.compile(r"\[*(?:L[^;)]*;|[ZBSCIJFD])")
+_DESCRIPTOR_RE = re.compile(rf"\(((?:{_PARAM_RE.pattern})*)\)(V|{_TYPE})")
+
+
 def parse_method_descriptor(descriptor: str) -> tuple[tuple[str, ...], str]:
     """Split ``(ILjava/lang/String;)V`` into parameter types and return type."""
-    if not descriptor.startswith("("):
+    m = _DESCRIPTOR_RE.fullmatch(descriptor)
+    if m is None:
         raise IRError(f"bad method descriptor: {descriptor!r}")
-    close = descriptor.find(")")
-    if close < 0:
-        raise IRError(f"bad method descriptor: {descriptor!r}")
-    params: list[str] = []
-    i = 1
-    while i < close:
-        start = i
-        while descriptor[i] == "[":
-            i += 1
-        c = descriptor[i]
-        if c == "L":
-            end = descriptor.find(";", i)
-            if end < 0 or end >= close:
-                raise IRError(f"bad method descriptor: {descriptor!r}")
-            i = end + 1
-        elif c in "ZBSCIJFD":
-            i += 1
-        else:
-            raise IRError(f"bad method descriptor: {descriptor!r}")
-        params.append(descriptor[start:i])
-    return tuple(params), descriptor[close + 1 :]
+    return tuple(_PARAM_RE.findall(m.group(1))), m.group(2)
+
+
+def is_type_descriptor(desc: str) -> bool:
+    """One value type: a class, an array or a primitive other than ``V``."""
+    return _TYPE_RE.fullmatch(desc) is not None
 
 
 def type_words(type_desc: str) -> int:
@@ -217,6 +208,12 @@ def descriptor_to_dotted(desc: str) -> str:
 
 def is_class_descriptor(desc: str) -> bool:
     return len(desc) >= 3 and desc.startswith("L") and desc.endswith(";")
+
+
+def package_of(class_descriptor: str) -> str:
+    """``Lcom/app/Foo;`` -> ``com.app``; ``""`` for a class in no package."""
+    dotted = descriptor_to_dotted(class_descriptor)
+    return dotted.rsplit(".", 1)[0] if "." in dotted else ""
 
 
 @dataclass
@@ -275,10 +272,7 @@ class ClassDef:
 
     @property
     def source_package(self) -> str:
-        dotted = descriptor_to_dotted(self.class_name)
-        if "." not in dotted:
-            return ""
-        return dotted.rsplit(".", 1)[0]
+        return package_of(self.class_name)
 
     def validate(self) -> None:
         """Class-level checks; each method is checked by MethodIR.validate."""
@@ -295,21 +289,14 @@ class ClassDef:
 @dataclass
 class Program:
     classes: tuple[ClassDef, ...]
-    index: dict[str, ClassDef] = field(default_factory=dict)
+    index: dict[str, ClassDef] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.index:
-            self.index = {c.class_name: c for c in self.classes}
-        self._methods = {
-            m.signature: m for c in self.classes for m in c.methods
-        }
+        self.index = {c.class_name: c for c in self.classes}
 
     def methods(self):
         for cls in self.classes:
             yield from cls.methods
-
-    def find_method(self, signature: str) -> MethodIR | None:
-        return self._methods.get(signature)
 
     def instruction_count(self) -> int:
         return sum(len(m.instructions) for m in self.methods())

@@ -40,8 +40,6 @@ class Bucket:
 @dataclass
 class Budgets:
     wall_clock_seconds: float = 3600.0  # per-app analysis cap
-    taint_method_passes: int | None = None
-    region_methods: int | None = None
 
 
 @dataclass
@@ -216,13 +214,7 @@ def analyze_app(
         counts[src.kind.value] = counts.get(src.kind.value, 0) + 1
     report.source_counts = dict(sorted(counts.items()))
 
-    engine = TaintEngine(
-        cfgs,
-        call_graph,
-        sources,
-        max_method_passes=budgets.taint_method_passes,
-        deadline=deadline,
-    )
+    engine = TaintEngine(cfgs, call_graph, sources, deadline=deadline)
     taint = engine.solve()
     report.taint_converged = taint.converged
     if on_taint is not None:
@@ -236,7 +228,7 @@ def analyze_app(
     models: set[str] = set()
     functionalities: set[str] = set()
     for guard in guards:
-        snippet = extract_region(guard, cfgs, call_graph, max_methods=budgets.region_methods)
+        snippet = extract_region(guard, cfgs, call_graph)
         cats = categories_of(snippet, rules)
         report.snippets.append(_snippet_dict(snippet, cats))
         functionalities.update(cats if cats else [UNCLASSIFIED])

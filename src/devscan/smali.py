@@ -23,6 +23,7 @@ from .ir import (
     MethodRef,
     Opcode,
     Program,
+    is_type_descriptor,
     parse_method_descriptor,
     type_words,
 )
@@ -118,7 +119,6 @@ def _is_skippable_line(line: str) -> bool:
 
 _LABEL_RE = re.compile(r"^:[A-Za-z_][A-Za-z0-9_]*$")
 _REGISTER_RE = re.compile(r"^[vp]\d+$")
-_TYPE_RE = re.compile(r"^\[*(?:L[^;]+;|[ZBSCIJFD])$")
 _CLASS_RE = re.compile(r"^L[^;]+;$")
 _MNEMONIC_RE = re.compile(r"^[a-z][a-z0-9/.-]*$")
 # method names in headers and references alike; `-` appears in D8's
@@ -176,19 +176,14 @@ def _unescape(raw: str, line_no: int) -> str:
     return "".join(out)
 
 
+_PRINTED_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
 def _escape(text: str) -> str:
     out: list[str] = []
     for c in text:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\r":
-            out.append("\\r")
-        elif c == "\t":
-            out.append("\\t")
+        if c in _PRINTED_ESCAPES:
+            out.append(_PRINTED_ESCAPES[c])
         elif ord(c) < 0x20:
             out.append(f"\\u{ord(c):04x}")
         else:
@@ -424,6 +419,10 @@ def _build(
             raise SmaliSyntaxError(
                 f"malformed method reference {m.group(2)!r}", line_no
             )
+        try:
+            parse_method_descriptor(ref.group("desc"))
+        except IRError as exc:
+            raise SmaliSyntaxError(str(exc), line_no)
         return _decoded(opcode, regs, method_ref=MethodRef(*ref.groups()))
     if opcode is Opcode.MOVE_RESULT:
         return _decoded(opcode, (reg(rest),))
@@ -567,7 +566,7 @@ def _parse_class(text: str, memo: _DecodeMemo) -> ClassDef:
             continue
         if line.startswith(".field"):
             m = _FIELD_DIRECTIVE_RE.match(line)
-            if not m or not _TYPE_RE.match(m.group(2)):
+            if not m or not is_type_descriptor(m.group(2)):
                 raise SmaliSyntaxError("malformed .field directive", line_no)
             fields.append((m.group(1), m.group(2)))
             continue
@@ -656,12 +655,7 @@ def _format_instruction(ins: Instruction) -> str:
         return f'const-string {regs[0]}, "{_escape(ins.literal or "")}"'
     if op is Opcode.MOVE:
         return f"move-object {regs[0]}, {regs[1]}"
-    if op in (
-        Opcode.INVOKE_VIRTUAL,
-        Opcode.INVOKE_STATIC,
-        Opcode.INVOKE_DIRECT,
-        Opcode.INVOKE_INTERFACE,
-    ):
+    if op in INVOKE_OPCODES:
         ref = ins.method_ref
         assert ref is not None
         return f"{op.value} {{{', '.join(regs)}}}, {ref.owner}->{ref.name}{ref.descriptor}"

@@ -11,7 +11,9 @@ from devscan.behavior import (
     find_device_guards,
     find_guard_sites,
 )
-from devscan.taint import reaching_definitions
+from devscan.graphs import build_call_graph, build_cfgs
+from devscan.smali import load_program
+from devscan.taint import TaintEngine, find_sources, reaching_definitions
 from tests.conftest import corpus_run
 
 OPPO_SSP = "Lcom/fixtures/oppo/PermissionPage;->startSettingPage(Landroid/content/Context;)V"
@@ -203,6 +205,60 @@ def test_region_budget_truncates(device_db):
     snippet = extract_region(guards[0], run.cfgs, run.call_graph, max_methods=1)
     assert snippet.truncated
     assert len(snippet.reachable_methods) == 1
+
+
+def _large_guarded_method(diamonds):
+    """One static method: a Build.BRAND equals("huawei") guard whose
+    fallthrough arm holds `diamonds` if-diamonds in a row and whose taken arm
+    calls a vendor method; both arms meet at the one return."""
+    lines = [
+        ".class public Lcom/app/Wide;",
+        ".super Ljava/lang/Object;",
+        ".method public static f()V",
+        "    .registers 4",
+        "    sget-object v0, Landroid/os/Build;->BRAND:Ljava/lang/String;",
+        '    const-string v1, "huawei"',
+        "    invoke-virtual {v0, v1}, Ljava/lang/String;->equals(Ljava/lang/Object;)Z",
+        "    move-result v2",
+        "    if-eqz v2, :other",
+    ]
+    for k in range(diamonds):
+        lines += [
+            f"    if-eqz v3, :else_{k}", "    nop", f"    goto :join_{k}",
+            f"    :else_{k}", "    nop", f"    :join_{k}",
+        ]
+    lines += [
+        "    goto :end",
+        "    :other",
+        "    invoke-static {}, Lcom/vendor/Tweak;->apply()V",
+        "    :end",
+        "    return-void",
+        ".end method",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_region_of_large_method(tmp_path, device_db):
+    (tmp_path / "Wide.smali").write_text(_large_guarded_method(200), encoding="utf-8")
+    program, diagnostics = load_program(tmp_path)
+    cfgs = build_cfgs(program)
+    call_graph = build_call_graph(program)
+    taint = TaintEngine(cfgs, call_graph, find_sources(program, cfgs)).solve()
+    (guard,) = find_device_guards(taint, cfgs, device_db)
+    snippet = extract_region(guard, cfgs, call_graph)
+
+    assert diagnostics == [] and len(cfgs["Lcom/app/Wide;->f()V"].blocks) == 604
+    assert (guard.site.branch_instruction, guard.guard_strings) == (4, ("huawei",))
+    # the guard's block is 0..4; the diamond at b is the blocks b, b+1..b+2
+    # and b+3; the last join is the goto at 805, the taken arm the invoke at 806
+    diamond_blocks = tuple(
+        r
+        for b in range(5, 805, 4)
+        for r in ((b, b), (b + 1, b + 2), (b + 3, b + 3))
+    )
+    assert snippet.region == {"taken": ((806, 806),), "fallthrough": diamond_blocks + ((805, 805),)}
+    assert snippet.matched_arm is Arm.FALLTHROUGH
+    assert snippet.invoked_system_methods == {"Lcom/vendor/Tweak;->apply()V"}
 
 
 def test_arms_disjoint_across_corpus(device_db, all_fixture_ids):

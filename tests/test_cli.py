@@ -86,27 +86,52 @@ def test_dump_taint_order_ignores_hash_seed(tmp_path):
     assert len(digests) == 1
 
 
-def test_scan_drops_only_class_with_malformed_descriptor(tmp_path, capsys):
+def _scan_beside_oppo_perm(tmp_path, bad_class):
+    """Scan oppo_perm alone and with `bad_class` added as Bad.smali."""
     root = tmp_path / "smali"
     shutil.copytree(smali_root("oppo_perm"), root)
-    (root / "Bad.smali").write_text(
-        ".class public Lcom/app/Bad;\n.super Ljava/lang/Object;\n"
-        ".method public f(Landroid/content/Context)V\n    .registers 2\n"
-        "    return-void\n.end method\n",
-        encoding="utf-8",
-    )
+    (root / "Bad.smali").write_text(bad_class, encoding="utf-8")
     reports = {}
     for name, tree in (("alone", smali_root("oppo_perm")), ("with_bad", root)):
         out = tmp_path / f"{name}.json"
         assert main(["scan", str(tree), "--out", str(out)]) == 0
         reports[name] = json.loads(out.read_text())
-    alone, with_bad = reports["alone"], reports["with_bad"]
+    return root, reports["alone"], reports["with_bad"]
+
+
+def test_scan_drops_only_class_with_malformed_descriptor(tmp_path, capsys):
+    root, alone, with_bad = _scan_beside_oppo_perm(
+        tmp_path,
+        ".class public Lcom/app/Bad;\n.super Ljava/lang/Object;\n"
+        ".method public f(Landroid/content/Context)V\n    .registers 2\n"
+        "    return-void\n.end method\n",
+    )
     assert with_bad["analysis_status"] == "ok"
     assert (with_bad["guards"], with_bad["snippets"]) == (alone["guards"], alone["snippets"])
     assert alone["guards"] > 0
     assert with_bad["diagnostics"] == [{
         "path": str(root / "Bad.smali"),
         "message": "line 3, col 1: bad method descriptor: '(Landroid/content/Context)V'",
+    }]
+
+
+@pytest.mark.parametrize("method, line, descriptor", [
+    (".method public static g(Landroid/content/Context;)Q\n    .registers 1\n", 3,
+     "(Landroid/content/Context;)Q"),
+    (".method public static f()V\n    .registers 1\n"
+     "    invoke-static {v0}, Lcom/app/K;->g(Landroid/content/Context)V\n", 5,
+     "(Landroid/content/Context)V"),
+], ids=["return_type", "reference"])
+def test_scan_drops_only_class_with_bad_return_or_reference(tmp_path, capsys, method, line, descriptor):
+    root, alone, with_bad = _scan_beside_oppo_perm(
+        tmp_path,
+        f".class public Lcom/app/K;\n.super Ljava/lang/Object;\n{method}    return-void\n.end method\n",
+    )
+    assert with_bad["analysis_status"] == "ok"
+    assert (with_bad["guards"], with_bad["snippets"]) == (alone["guards"], alone["snippets"])
+    assert with_bad["diagnostics"] == [{
+        "path": str(root / "Bad.smali"),
+        "message": f"line {line}, col 1: bad method descriptor: {descriptor!r}",
     }]
 
 

@@ -310,6 +310,62 @@ def test_ipdom_matches_simple_path_oracle(case):
     assert _ipdoms_from_edges(n, succs, exits) == _oracle_ipdoms(n, succs, exits)
 
 
+# 700 if-diamonds in a row: block 3k branches to 3k+1 and 3k+2, which both
+# join at 3k+3, the next branch; the last join returns. 2,101 blocks, and a
+# path from the return back to block 0 is 1,400 edges deep, deeper than
+# Python's default recursion limit.
+DIAMONDS = 700
+
+
+def _diamond_chain():
+    n = 3 * DIAMONDS + 1
+    succs = {b: [] for b in range(n)}
+    for k in range(DIAMONDS):
+        branch = 3 * k
+        succs[branch] = [branch + 1, branch + 2]
+        succs[branch + 1] = [branch + 3]
+        succs[branch + 2] = [branch + 3]
+    return n, succs, [n - 1]
+
+
+def _assert_diamond_ipdoms(ipdoms, n):
+    assert sys.getrecursionlimit() < 2 * DIAMONDS
+    for k in range(DIAMONDS):
+        branch = 3 * k
+        join = branch + 3
+        assert (ipdoms[branch], ipdoms[branch + 1], ipdoms[branch + 2]) == (join, join, join)
+    assert ipdoms[n - 1] == EXIT
+
+
+def test_ipdom_long_diamond_chain():
+    n, succs, exits = _diamond_chain()
+    ipdoms = _ipdoms_from_edges(n, succs, exits)
+    assert len(ipdoms) == n
+    _assert_diamond_ipdoms(ipdoms, n)
+
+
+def test_ipdom_long_diamond_chain_with_back_edges():
+    # each first arm may loop back to its branch; the join still closes it
+    n, succs, exits = _diamond_chain()
+    for k in range(DIAMONDS):
+        succs[3 * k + 1].append(3 * k)
+    _assert_diamond_ipdoms(_ipdoms_from_edges(n, succs, exits), n)
+
+
+def test_ipdom_long_diamond_chain_with_endless_loop():
+    # each second arm may also enter a two-block loop that never returns;
+    # paths into it reach no exit, so they change no postdominator
+    n, succs, exits = _diamond_chain()
+    loop_a, loop_b = n, n + 1
+    succs[loop_a] = [loop_b]
+    succs[loop_b] = [loop_a]
+    for k in range(DIAMONDS):
+        succs[3 * k + 2].append(loop_a)
+    ipdoms = _ipdoms_from_edges(n + 2, succs, exits)
+    _assert_diamond_ipdoms(ipdoms, n)
+    assert (ipdoms[loop_a], ipdoms[loop_b]) == (EXIT, EXIT)
+
+
 # -- DOT dumps ---------------------------------------------------------------
 
 def test_dot_outputs_contain_nodes():

@@ -557,6 +557,13 @@ SYNTAX_ERRORS = {
     "malformed method descriptor": (
         _HEAD + _method("return-void", header="public f(Landroid/content/Context)V"), 3,
         "bad method descriptor: '(Landroid/content/Context)V'"),
+    "bad return type": (
+        _HEAD + _method("return-void", header="public static g(Landroid/content/Context;)Q"), 3,
+        "bad method descriptor: '(Landroid/content/Context;)Q'"),
+    "malformed reference descriptor": (
+        _HEAD + _method("invoke-static {v0}, Lcom/app/K;->g(Landroid/content/Context)V",
+                        "return-void"), 5,
+        "bad method descriptor: '(Landroid/content/Context)V'"),
     # a register valid in one method is checked again in the next
     "registers are per method": (
         _HEAD + _method("move-result v1", "return-void")

@@ -232,8 +232,11 @@ def collect_guard_strings(site: GuardSite, cfg: CFG, rd: ReachingDefs) -> list[s
     Collects literals flowing into the comparison call's operands, plus
     every literal defined in the site's basic block or in any block holding
     a definition on the chain feeding the condition register. ``rd`` is the
-    method's reaching definitions.
+    method's reaching definitions. Every literal comes from a const-string,
+    so a method without one yields none.
     """
+    if not cfg.has_const_string:
+        return []
     method = cfg.method
     out: list[str] = []
     seen: set[str] = set()

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 1 usage, 2 input error, 3 partial (timeout), 4 internal.
+Exit codes: 0 ok, 1 usage, 2 input error, 3 partial (timeout), 4 internal,
+141 stdout closed by its reader (the shell's status for a SIGPIPE death).
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -35,6 +37,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_PARTIAL = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -339,7 +342,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped early (`devscan dump-cfg ... | head`); point
+        # stdout at devnull so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (ApkError, DeviceDbError, RuleError, ProgramLoadError, FileNotFoundError, ValueError) as exc:
         print(f"devscan: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -6,7 +6,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .ir import IF_OPCODES, INVOKE_OPCODES, MethodIR, MethodRef, Opcode, Program
+from .ir import IF_OPCODES, INVOKE_OPCODES, MethodIR, MethodRef, Opcode, Program, written_register
 
 # synthetic exit node joining all return blocks
 EXIT = -1
@@ -36,6 +36,9 @@ class CFG:
     _succ: dict[int, list[int]] = field(init=False, repr=False)
     _pred: dict[int, list[int]] = field(init=False, repr=False)
     _block_of: dict[int, int] = field(init=False, repr=False)
+    # the register each instruction writes, None where it writes none
+    writes: tuple[int | None, ...] = field(init=False, repr=False)
+    has_const_string: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._succ = {b.bid: [] for b in self.blocks}
@@ -43,12 +46,19 @@ class CFG:
         for src, dst, _ in self.edges:
             self._succ[src].append(dst)
             self._pred[dst].append(src)
+        for neighbours in (*self._succ.values(), *self._pred.values()):
+            neighbours.sort()
         self._block_of = {i: b.bid for b in self.blocks for i in b.indices()}
+        instructions = self.method.instructions
+        self.writes = tuple(map(written_register, instructions))
+        self.has_const_string = any(i.opcode is Opcode.CONST_STRING for i in instructions)
 
     def successors(self, bid: int) -> list[int]:
+        """Successor blocks in ascending order."""
         return self._succ[bid]
 
     def predecessors(self, bid: int) -> list[int]:
+        """Predecessor blocks in ascending order."""
         return self._pred[bid]
 
     def block_of(self, index: int) -> int:

@@ -27,7 +27,6 @@ from .ir import (
     Opcode,
     Program,
     read_registers,
-    written_register,
 )
 
 UNKNOWN_KEY = "UNKNOWN_KEY"
@@ -99,55 +98,68 @@ ENTRY_DEF = -1
 # per instruction: register -> definition sites reaching it
 ReachingDefs = list[Mapping[int, frozenset[int]]]
 
-# updates a register state in place with one instruction's effect
-Transfer = Callable[[Instruction, dict], None]
+# the value an instruction writes to its register, given the state before
+# it; a falsy value leaves the register out of the state
+Transfer = Callable[[Instruction, Mapping], object]
 
 # the state of a point no pass has reached yet
 _UNREACHED: Mapping = MappingProxyType({})
 
 
 def solve_blocks(
-    cfg: CFG, entry: dict, transfer: Transfer, deadline: float | None = None
+    cfg: CFG, entry: Mapping, transfer: Transfer, deadline: float | None = None
 ) -> list[Mapping]:
     """Forward may-dataflow over one method's blocks, to a fixpoint.
 
     A state maps register -> value, and values join with ``|``: frozensets
     of definition sites, or origin masks. ``entry`` holds on method entry.
     Returns the state before every instruction; once ``deadline`` has
-    passed, the states reached so far.
+    passed, the states reached so far. States are read-only and shared:
+    a new one is made only where a write changes a register, so the points
+    between two writes hold the same mapping.
     """
-    instructions = cfg.method.instructions
+    instructions, writes = cfg.method.instructions, cfg.writes
     in_sets: list[Mapping] = [_UNREACHED] * len(instructions)
-    block_out: dict[int, dict] = {}
-    work = deque(sorted(b.bid for b in cfg.blocks))
+    block_out: dict[int, Mapping] = {}
+    entry = dict(entry)  # the caller may update its mapping after the solve
+    work = deque(range(len(cfg.blocks)))
     queued = set(work)
     while work:
         if deadline is not None and time.monotonic() > deadline:
             break  # partial in_sets; the caller flags non-convergence
         bid = work.popleft()
         queued.discard(bid)
-        state: dict = {}
-        joins = [block_out.get(p, {}) for p in sorted(cfg.predecessors(bid))]
+        joins = [block_out[p] for p in cfg.predecessors(bid) if p in block_out]
         if bid == 0:
             joins.append(entry)
-        for incoming in joins:
-            for reg, value in incoming.items():
-                state[reg] = state[reg] | value if reg in state else value
+        if len(joins) == 1:
+            state = joins[0]
+        else:
+            state = {}
+            for incoming in joins:
+                for reg, value in incoming.items():
+                    state[reg] = state[reg] | value if reg in state else value
         for i in cfg.block(bid).indices():
-            in_sets[i] = state.copy()
-            transfer(instructions[i], state)
+            in_sets[i] = state
+            if (w := writes[i]) is None:
+                continue
+            if value := transfer(instructions[i], state):
+                if state.get(w) != value:
+                    state = {**state, w: value}
+            elif w in state:
+                state = dict(state)
+                del state[w]
         if block_out.get(bid) != state:
             block_out[bid] = state
-            for succ in sorted(cfg.successors(bid)):
+            for succ in cfg.successors(bid):
                 if succ not in queued:
                     work.append(succ)
                     queued.add(succ)
     return in_sets
 
 
-def _define(ins: Instruction, state: dict[int, frozenset[int]]) -> None:
-    if (w := written_register(ins)) is not None:
-        state[w] = frozenset([ins.index])
+def _define(ins: Instruction, state: Mapping) -> frozenset[int]:
+    return frozenset([ins.index])
 
 
 def reaching_definitions(method: MethodIR, cfg: CFG) -> ReachingDefs:
@@ -378,14 +390,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _store(state: dict[int, int], reg: int, mask: int) -> None:
-    """Write a register; one holding no origin drops out of the state."""
-    if mask:
-        state[reg] = mask
-    else:
-        state.pop(reg, None)
-
-
 class TaintEngine:
     """Worklist fixpoint over per-method passes.
 
@@ -421,57 +425,57 @@ class TaintEngine:
                 self._sget_bits.setdefault(src.method, {})[src.index] = 1 << i
             else:
                 self._invoke_bits[(src.method, src.index)] = 1 << i
-        self._shapes: dict[str, tuple[list, list]] = {}
+        self._shapes: dict[str, tuple[list, list, dict]] = {}
 
-    def _shape(self, sig: str) -> tuple[list, list]:
-        """A method's returns, as (index, register), and its resolved calls
-        into bodies, as (index, callee, first parameter register, arguments)."""
+    def _shape(self, sig: str) -> tuple[list, list, dict]:
+        """A method's returns, as (index, register); its resolved calls into
+        bodies, as (index, callee, first parameter register, arguments); and
+        what each move-result receives, as index -> (its invoke's source
+        bits, the resolved callee or None, an unresolved call's arguments)."""
         if sig not in self._shapes:
-            returns, calls = [], []
-            for ins in self.cfgs.methods[sig].instructions:
+            method = self.cfgs.methods[sig]
+            returns, calls, results = [], [], {}
+            for ins in method.instructions:
                 if ins.opcode in (Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE):
                     returns.append((ins.index, ins.operands[0]))
+                elif ins.opcode is Opcode.MOVE_RESULT:
+                    invoke = feeding_invoke(method, ins.index)
+                    edge = self.call_graph.edge_at(sig, invoke) if invoke is not None else None
+                    callee = edge.callee if edge is not None and edge.resolved else None
+                    args = method.instructions[invoke].operands if invoke is not None else ()
+                    bits = self._invoke_bits.get((sig, invoke), 0)
+                    results[ins.index] = (bits, callee, args if callee is None else ())
                 elif ins.opcode in INVOKE_OPCODES:
                     edge = self.call_graph.edge_at(sig, ins.index)
                     if edge is not None and edge.resolved and edge.callee in self.cfgs:
                         base = self.cfgs.methods[edge.callee].registers - len(ins.operands)
                         if base >= 0:
                             calls.append((ins.index, edge.callee, base, ins.operands))
-            self._shapes[sig] = (returns, calls)
+            self._shapes[sig] = (returns, calls, results)
         return self._shapes[sig]
 
     def _transfer(self, sig: str) -> Transfer:
-        method = self.cfgs.methods[sig]
         sget_bits = self._sget_bits.get(sig, {})
+        results = self._shape(sig)[2]
 
-        def transfer(ins: Instruction, state: dict[int, int]) -> None:
+        def transfer(ins: Instruction, state: Mapping[int, int]) -> int:
             op = ins.opcode
+            if op is Opcode.MOVE:
+                return state.get(ins.operands[1], 0)
             if op is Opcode.MOVE_RESULT:
-                _store(state, ins.operands[0], self._result_mask(sig, method, ins.index, state))
-            elif op is Opcode.SGET_OBJECT:
-                _store(state, ins.operands[0], sget_bits.get(ins.index, 0))
-            elif op is Opcode.MOVE:
-                _store(state, ins.operands[0], state.get(ins.operands[1], 0))
-            elif (w := written_register(ins)) is not None:
-                state.pop(w, None)  # any other write kills
+                # the invoke's own source, plus the callee's summary or, for
+                # an unresolved callee, every argument's
+                mask, callee, args = results[ins.index]
+                if callee is not None:
+                    return mask | self.summaries.get(callee, 0)
+                for arg in args:
+                    mask |= state.get(arg, 0)
+                return mask
+            if op is Opcode.SGET_OBJECT:
+                return sget_bits.get(ins.index, 0)
+            return 0  # any other write kills
 
         return transfer
-
-    def _result_mask(
-        self, sig: str, method: MethodIR, mr_index: int, state: dict[int, int]
-    ) -> int:
-        """Origins a move-result receives: its invoke's own source, plus the
-        callee's summary or, for an unresolved callee, every argument's."""
-        invoke = feeding_invoke(method, mr_index)
-        if invoke is None:
-            return 0
-        mask = self._invoke_bits.get((sig, invoke), 0)
-        edge = self.call_graph.edge_at(sig, invoke)
-        if edge is not None and edge.resolved:
-            return mask | self.summaries.get(edge.callee, 0)
-        for arg in method.instructions[invoke].operands:
-            mask |= state.get(arg, 0)
-        return mask
 
     # -- fixpoint ---------------------------------------------------------
 
@@ -501,7 +505,7 @@ class TaintEngine:
             self.cfgs[sig], self.entry_facts.get(sig, {}), self._transfer(sig), self.deadline
         )
         self.solutions[sig] = in_sets
-        returns, calls = self._shape(sig)
+        returns, calls, _ = self._shape(sig)
         dirty: list[str] = []
         summary = 0
         for index, reg in returns:
@@ -547,12 +551,10 @@ class TaintEngine:
         definition of a method whose pass left ``in_sets``."""
         yield from ((reg, ENTRY_DEF, mask) for reg, mask in self.entry_facts.get(sig, {}).items())
         transfer = self._transfer(sig)
-        for ins in self.cfgs.methods[sig].instructions:
-            if (w := written_register(ins)) is not None:
-                state = dict(in_sets[ins.index])
-                transfer(ins, state)
-                if w in state:
-                    yield w, ins.index, state[w]
+        instructions = self.cfgs.methods[sig].instructions
+        for i, w in enumerate(self.cfgs[sig].writes):
+            if w is not None and (mask := transfer(instructions[i], in_sets[i])):
+                yield w, i, mask
 
     def _incoming(self, key: FactKey, live: Callable) -> tuple[Step, ...] | list[Derivation]:
         """() for a fact a source read creates; else its parameter or
@@ -573,18 +575,13 @@ class TaintEngine:
             return () if self._sget_bits.get(sig, {}).get(d, 0) >> origin & 1 else []
         if op is not Opcode.MOVE_RESULT:
             return []
-        invoke = feeding_invoke(method, d)  # the key's move-result has one
-        if self._invoke_bits.get((sig, invoke), 0) >> origin & 1:
+        bits, callee, args = self._shape(sig)[2][d]
+        if bits >> origin & 1:
             return ()
-        edge = self.call_graph.edge_at(sig, invoke)
-        if edge is not None and edge.resolved:
-            returns = self._shape(edge.callee)[0]
-            return [(k, None) for i, ret in returns for k in live(edge.callee, ret, i, origin)]
-        return [
-            (k, Step.LIB_RETURN)
-            for arg in method.instructions[invoke].operands
-            for k in live(sig, arg, d, origin)
-        ]
+        if callee is not None:
+            returns = self._shape(callee)[0]
+            return [(k, None) for i, ret in returns for k in live(callee, ret, i, origin)]
+        return [(k, Step.LIB_RETURN) for arg in args for k in live(sig, arg, d, origin)]
 
     def _facts(
         self, points: dict[str, list[Mapping[int, int]]], exact: bool

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -301,6 +303,29 @@ def test_dump_cfg_method(capsys):
 def test_dump_call_graph(capsys):
     assert main(["dump-cfg", smali_root("oppo_perm"), "--call-graph"]) == 0
     assert "oppoApi" in capsys.readouterr().out
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as under ``devscan ... | head``."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_closed_stdout_exits_quietly(tmp_path, monkeypatch, capsys):
+    # main points the stdout descriptor at devnull: give it one of our own
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        code = main(["dump-cfg", smali_root("oppo_perm"), "--call-graph"])
+    assert code == devscan.cli.EXIT_PIPE == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_dump_cfg_unknown_method(capsys):

@@ -6,10 +6,11 @@ wall-clock budget. Run from the repository root."""
 import json
 from pathlib import Path
 
-# methods in the ring; the analysis cost grows linearly with it, and this
-# size takes 6 to 8 s with no deadline on a 2-vCPU x86 VM, at least 3x the
-# fixture's budget
-N = 2200
+# methods in the ring and registers in each method's loop chain; the
+# analysis cost grows linearly with both, and these sizes take about 8 s
+# with no deadline on a 2-vCPU x86 VM, 4x the fixture's 2 s budget
+N = 900
+CHAIN = 24
 OFFSETS = (1, 2, 3, 5, 8, 13, 21, 34)  # call targets per method
 FIELDS = ["BRAND", "DEVICE", "DISPLAY", "FINGERPRINT", "MANUFACTURER", "MODEL", "PRODUCT"]
 CLASS = "Lcom/fixtures/bomb/CallWeb;"
@@ -22,7 +23,7 @@ def method_body(i: int) -> str:
     # callee return; unions need join points, hence the diamonds
     lines = [
         f".method public static m{i:02d}(Ljava/lang/String;)Ljava/lang/String;",
-        "    .registers 8",
+        f"    .registers {7 + CHAIN}",
         f"    sget-object v0, Landroid/os/Build;->{FIELDS[i % len(FIELDS)]}:Ljava/lang/String;",
         "    if-nez v0, :param",
         "    move-object v1, v0",
@@ -47,7 +48,14 @@ def method_body(i: int) -> str:
             "    move-object v5, v4",
             "    move-object v1, v5",
         ]
+    # the body loops back to :seeded, and each trip hands v1 one register
+    # further down the chain, so a pass of the method walks the loop about
+    # CHAIN + 2 times before its states settle
+    chain = [f"v{6 + j}" for j in range(CHAIN)]
+    lines += [f"    move-object {dst}, {src}" for src, dst in reversed(list(zip(chain, chain[1:])))]
     lines += [
+        f"    move-object {chain[0]}, v1",
+        f"    if-nez {chain[-1]}, :seeded",
         "    return-object v1",
         ".end method",
         "",

@@ -278,8 +278,8 @@ def collect_guard_strings(site: GuardSite, cfg: CFG, rd: ReachingDefs) -> list[s
             follow(invoke.index, arg)
     follow(site.branch_instruction, site.condition_register)
 
-    blocks = {cfg.block_of(site.branch_instruction)}
-    blocks |= {cfg.block_of(d) for d in chain_defs}
+    blocks = {cfg.block_of[site.branch_instruction]}
+    blocks |= {cfg.block_of[d] for d in chain_defs}
     for bid in sorted(blocks):
         for ins in cfg.instructions_of(bid):
             if ins.opcode is Opcode.CONST_STRING:
@@ -325,7 +325,7 @@ def _arm_blocks(cfg: CFG, cond_block: int, entry: int, stop: int) -> set[int]:
     work = [entry]
     while work:
         cur = work.pop()
-        for succ in cfg.successors(cur):
+        for succ in cfg.succ[cur]:
             if succ == stop or succ == cond_block or succ in seen:
                 continue
             seen.add(succ)
@@ -353,14 +353,14 @@ def extract_region(
     cfg = cfgs[site.method]
     method = cfg.method
     branch = method.instructions[site.branch_instruction]
-    cond_block = cfg.block_of(site.branch_instruction)
+    cond_block = cfg.block_of[site.branch_instruction]
     ipdom = immediate_postdominators(cfg)[cond_block]
 
-    taken_entry = cfg.block_of(branch.branch_target)
+    taken_entry = cfg.block_of[branch.branch_target]
     taken = _arm_blocks(cfg, cond_block, taken_entry, ipdom)
     fall_index = site.branch_instruction + 1
     if fall_index < len(method.instructions):
-        fall_entry = cfg.block_of(fall_index)
+        fall_entry = cfg.block_of[fall_index]
         fallthrough = _arm_blocks(cfg, cond_block, fall_entry, ipdom)
     else:
         fallthrough = set()
@@ -368,13 +368,10 @@ def extract_region(
     taken -= shared
     fallthrough -= shared
 
+    # each block as its first and last instruction index
     region = {
-        Arm.TAKEN.value: tuple(
-            (cfg.block(b).start, cfg.block(b).end) for b in sorted(taken)
-        ),
-        Arm.FALLTHROUGH.value: tuple(
-            (cfg.block(b).start, cfg.block(b).end) for b in sorted(fallthrough)
-        ),
+        arm.value: tuple((cfg.blocks[b][0], cfg.blocks[b][-1]) for b in sorted(bids))
+        for arm, bids in ((Arm.TAKEN, taken), (Arm.FALLTHROUGH, fallthrough))
     }
 
     region_instructions: list[Instruction] = []

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 
 from .ir import IF_OPCODES, INVOKE_OPCODES, MethodIR, MethodRef, Opcode, Program, written_register
 
@@ -18,58 +19,28 @@ class EdgeKind(str, Enum):
     GOTO = "goto"
 
 
-@dataclass(frozen=True)
-class BasicBlock:
-    bid: int
-    start: int
-    end: int  # inclusive
-
-    def indices(self) -> range:
-        return range(self.start, self.end + 1)
-
-
-@dataclass
+@dataclass(slots=True)
 class CFG:
+    """One method's control flow as flat tables indexed by block id.
+
+    Block b covers the instructions in ``blocks[b]``; ``succ[b]`` and
+    ``pred[b]`` hold its neighbours in ascending order, one entry per edge;
+    ``block_of[i]`` is the block of instruction i.
+    """
+
     method: MethodIR
-    blocks: tuple[BasicBlock, ...]
+    blocks: tuple[range, ...]
     edges: tuple[tuple[int, int, EdgeKind], ...]
-    _succ: dict[int, list[int]] = field(init=False, repr=False)
-    _pred: dict[int, list[int]] = field(init=False, repr=False)
-    _block_of: dict[int, int] = field(init=False, repr=False)
+    succ: tuple[tuple[int, ...], ...]
+    pred: tuple[tuple[int, ...], ...]
+    block_of: tuple[int, ...]
     # the register each instruction writes, None where it writes none
-    writes: tuple[int | None, ...] = field(init=False, repr=False)
-    has_const_string: bool = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._succ = {b.bid: [] for b in self.blocks}
-        self._pred = {b.bid: [] for b in self.blocks}
-        for src, dst, _ in self.edges:
-            self._succ[src].append(dst)
-            self._pred[dst].append(src)
-        for neighbours in (*self._succ.values(), *self._pred.values()):
-            neighbours.sort()
-        self._block_of = {i: b.bid for b in self.blocks for i in b.indices()}
-        instructions = self.method.instructions
-        self.writes = tuple(map(written_register, instructions))
-        self.has_const_string = any(i.opcode is Opcode.CONST_STRING for i in instructions)
-
-    def successors(self, bid: int) -> list[int]:
-        """Successor blocks in ascending order."""
-        return self._succ[bid]
-
-    def predecessors(self, bid: int) -> list[int]:
-        """Predecessor blocks in ascending order."""
-        return self._pred[bid]
-
-    def block_of(self, index: int) -> int:
-        return self._block_of[index]
-
-    def block(self, bid: int) -> BasicBlock:
-        return self.blocks[bid]
+    writes: tuple[int | None, ...]
+    has_const_string: bool
 
     def instructions_of(self, bid: int):
         b = self.blocks[bid]
-        return self.method.instructions[b.start : b.end + 1]
+        return self.method.instructions[b.start : b.stop]
 
 
 def build_cfg(method: MethodIR) -> CFG:
@@ -96,27 +67,38 @@ def build_cfg(method: MethodIR) -> CFG:
                 f"internal: {method.signature} branch target {ins.branch_target} "
                 f"outside body (frontend should have rejected this)"
             )
-    ordered = sorted(leaders)
-    blocks = []
-    for bid, start in enumerate(ordered):
-        end = (ordered[bid + 1] - 1) if bid + 1 < len(ordered) else n - 1
-        blocks.append(BasicBlock(bid=bid, start=start, end=end))
-    start_to_bid = {b.start: b.bid for b in blocks}
+    starts = sorted(leaders)
+    blocks = tuple(map(range, starts, [*starts[1:], n]))
+    block_of = tuple(chain.from_iterable(repeat(bid, len(b)) for bid, b in enumerate(blocks)))
 
+    # a branch target starts its block, and the next block starts right
+    # after the last instruction of this one
     edges: list[tuple[int, int, EdgeKind]] = []
-    for b in blocks:
-        last = instructions[b.end]
+    for bid, b in enumerate(blocks):
+        last = instructions[b.stop - 1]
         if last.opcode is Opcode.GOTO:
-            edges.append((b.bid, start_to_bid[last.branch_target], EdgeKind.GOTO))
+            edges.append((bid, block_of[last.branch_target], EdgeKind.GOTO))
         elif last.opcode in IF_OPCODES:
-            edges.append((b.bid, start_to_bid[last.branch_target], EdgeKind.BRANCH_TAKEN))
-            if b.end + 1 < n:
-                edges.append((b.bid, start_to_bid[b.end + 1], EdgeKind.FALLTHROUGH))
-        elif last.is_return():
-            pass
-        elif b.end + 1 < n:
-            edges.append((b.bid, start_to_bid[b.end + 1], EdgeKind.FALLTHROUGH))
-    return CFG(method=method, blocks=tuple(blocks), edges=tuple(edges))
+            edges.append((bid, block_of[last.branch_target], EdgeKind.BRANCH_TAKEN))
+            if b.stop < n:
+                edges.append((bid, bid + 1, EdgeKind.FALLTHROUGH))
+        elif not last.is_return() and b.stop < n:
+            edges.append((bid, bid + 1, EdgeKind.FALLTHROUGH))
+    succ: list[list[int]] = [[] for _ in blocks]
+    pred: list[list[int]] = [[] for _ in blocks]
+    for src, dst, _ in edges:
+        succ[src].append(dst)
+        pred[dst].append(src)
+    return CFG(
+        method=method,
+        blocks=blocks,
+        edges=tuple(edges),
+        succ=tuple(tuple(sorted(s)) for s in succ),
+        pred=tuple(map(tuple, pred)),  # edges come in ascending source order
+        block_of=block_of,
+        writes=tuple(map(written_register, instructions)),
+        has_const_string=any(i.opcode is Opcode.CONST_STRING for i in instructions),
+    )
 
 
 def immediate_postdominators(cfg: CFG) -> dict[int, int]:
@@ -124,12 +106,13 @@ def immediate_postdominators(cfg: CFG) -> dict[int, int]:
 
     Blocks that cannot reach any return are assigned EXIT.
     """
-    exits = [b.bid for b in cfg.blocks if cfg.method.instructions[b.end].is_return()]
-    return _ipdoms_from_edges(len(cfg.blocks), cfg._succ, exits)
+    instructions = cfg.method.instructions
+    exits = [bid for bid, b in enumerate(cfg.blocks) if instructions[b.stop - 1].is_return()]
+    return _ipdoms_from_edges(len(cfg.blocks), cfg.succ, exits)
 
 
 def _ipdoms_from_edges(
-    nblocks: int, succs: dict[int, list[int]], exits: list[int]
+    nblocks: int, succs: Sequence[Sequence[int]] | Mapping[int, Sequence[int]], exits: list[int]
 ) -> dict[int, int]:
     """Cooper, Harvey and Kennedy's iterative dominance algorithm ("A Simple,
     Fast Dominance Algorithm", 2001) on the reverse graph rooted at EXIT,
@@ -288,11 +271,9 @@ def build_cfgs(program: Program) -> CFGMap:
 
 def cfg_to_dot(cfg: CFG) -> str:
     lines = ["digraph cfg {", '  node [shape=box, fontname="monospace"];']
-    for b in cfg.blocks:
-        body = "\\l".join(
-            f"{i.index}: {i.opcode.value}" for i in cfg.instructions_of(b.bid)
-        )
-        lines.append(f'  b{b.bid} [label="B{b.bid}\\l{body}\\l"];')
+    for bid in range(len(cfg.blocks)):
+        body = "\\l".join(f"{i.index}: {i.opcode.value}" for i in cfg.instructions_of(bid))
+        lines.append(f'  b{bid} [label="B{bid}\\l{body}\\l"];')
     for src, dst, kind in cfg.edges:
         lines.append(f'  b{src} -> b{dst} [label="{kind.value}"];')
     lines.append("}")

@@ -152,7 +152,6 @@ def analyze_app(
     app_id: str | None = None,
     market: str = "default",
     packer_signatures: tuple[PackerSignature, ...] | None = None,
-    sdk_prefixes: tuple[str, ...] | None = None,
     on_taint=None,
 ) -> AppReport:
     """Run the full pipeline on one app.
@@ -164,7 +163,6 @@ def analyze_app(
     budgets = budgets or Budgets()
     db = db or default_device_db()
     rules = rules or default_rules()
-    sdk_prefixes = sdk_prefixes if sdk_prefixes is not None else sdk_prefixes_default()
     app_id = app_id or Path(smali_root).name
     report = AppReport(app_id=app_id, market=market)
 
@@ -243,7 +241,7 @@ def analyze_app(
     report.oses = sorted(oses)
     report.models = sorted(models)
     report.functionalities = sorted(functionalities)
-    report.source_attribution = attribute_sources(report, sdk_prefixes)
+    report.source_attribution = attribute_sources(report, sdk_prefixes_default())
 
     report.wall_time_seconds = elapsed()
     if report.wall_time_seconds >= budgets.wall_clock_seconds:

@@ -197,12 +197,10 @@ def _strip_comment(line: str) -> str:
     i = 0
     while i < len(line):
         c = line[i]
-        if c == '"' and (i == 0 or line[i - 1] != "\\"):
-            # even a backslash-quoted quote flips correctly because escapes
-            # are resolved later; here we only need string boundaries
+        if c == '"':
             in_string = not in_string
         elif c == "\\" and in_string:
-            i += 1
+            i += 1  # the escaped character, a quote or backslash included
         elif c == "#" and not in_string:
             return line[:i]
         i += 1

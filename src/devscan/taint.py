@@ -129,7 +129,7 @@ def solve_blocks(
             break  # partial in_sets; the caller flags non-convergence
         bid = work.popleft()
         queued.discard(bid)
-        joins = [block_out[p] for p in cfg.predecessors(bid) if p in block_out]
+        joins = [block_out[p] for p in cfg.pred[bid] if p in block_out]
         if bid == 0:
             joins.append(entry)
         if len(joins) == 1:
@@ -139,7 +139,7 @@ def solve_blocks(
             for incoming in joins:
                 for reg, value in incoming.items():
                     state[reg] = state[reg] | value if reg in state else value
-        for i in cfg.block(bid).indices():
+        for i in cfg.blocks[bid]:
             in_sets[i] = state
             if (w := writes[i]) is None:
                 continue
@@ -151,7 +151,7 @@ def solve_blocks(
                 del state[w]
         if block_out.get(bid) != state:
             block_out[bid] = state
-            for succ in cfg.successors(bid):
+            for succ in cfg.succ[bid]:
                 if succ not in queued:
                     work.append(succ)
                     queued.add(succ)

@@ -300,6 +300,26 @@ def test_dump_cfg_method(capsys):
     assert "digraph" in capsys.readouterr().out
 
 
+DIAMOND_DOT = r'''// Lcom/fixtures/regions/Diamond;->check()V
+digraph cfg {
+  node [shape=box, fontname="monospace"];
+  b0 [label="B0\l0: sget-object\l1: const-string\l2: invoke-virtual\l3: move-result\l4: if-eqz\l"];
+  b1 [label="B1\l5: const-string\l6: goto\l"];
+  b2 [label="B2\l7: const-string\l"];
+  b3 [label="B3\l8: return-void\l"];
+  b0 -> b2 [label="branch_taken"];
+  b0 -> b1 [label="fallthrough"];
+  b1 -> b3 [label="goto"];
+  b2 -> b3 [label="fallthrough"];
+}
+'''
+
+
+def test_dump_cfg_all_methods(capsys):
+    assert main(["dump-cfg", smali_root("diamond")]) == 0
+    assert capsys.readouterr().out == DIAMOND_DOT
+
+
 def test_dump_call_graph(capsys):
     assert main(["dump-cfg", smali_root("oppo_perm"), "--call-graph"]) == 0
     assert "oppoApi" in capsys.readouterr().out

@@ -81,7 +81,7 @@ def test_blocks_partition_instructions(all_fixture_ids):
         for sig, cfg in corpus_run(fid).cfgs.items():
             seen = []
             for b in cfg.blocks:
-                seen.extend(b.indices())
+                seen.extend(b)
             assert seen == list(range(len(cfg.method.instructions)))
 
 
@@ -100,12 +100,12 @@ def test_conditional_blocks_have_two_successors(all_fixture_ids):
         if fid == "budget_bomb":
             continue
         for cfg in corpus_run(fid).cfgs.values():
-            for b in cfg.blocks:
-                last = cfg.method.instructions[b.end]
+            for bid, b in enumerate(cfg.blocks):
+                last = cfg.method.instructions[b[-1]]
                 if last.opcode in IF_OPCODES:
-                    assert len(cfg.successors(b.bid)) == 2
+                    assert len(cfg.succ[bid]) == 2
                 elif last.is_return():
-                    assert cfg.successors(b.bid) == []
+                    assert cfg.succ[bid] == ()
 
 
 # -- call graph ---------------------------------------------------------------

@@ -88,6 +88,19 @@ def test_hash_inside_literal_not_a_comment():
     assert cls.methods[0].instructions[0].literal == "tag#1"
 
 
+@pytest.mark.parametrize(
+    "literal, value",
+    [
+        # the closing quote follows an escaped backslash, not an escaped quote
+        ('"C:\\\\" # drive root', "C:\\"),
+        ('"a\\"#b"  # quote', 'a"#b'),
+    ],
+)
+def test_comment_after_escaped_character(literal, value):
+    cls = parse_smali_class(SINGLE.replace('"oppo"', literal))
+    assert cls.methods[0].instructions[0].literal == value
+
+
 def test_literal_escapes_roundtrip():
     text = SINGLE.replace('"oppo"', '"a\\"b\\\\c\\n\\u0161 mixed.CASE/slash"')
     cls = parse_smali_class(text)
@@ -407,6 +420,29 @@ def test_print_parse_roundtrip(body):
     reparsed = parse_smali_class(print_smali_class(cls))
     assert reparsed.methods[0].instructions == body
     assert reparsed.methods[0].registers == 4
+
+
+def test_two_register_ifs():
+    from devscan.graphs import build_cfg
+    from devscan.ir import IF_OPCODES
+
+    cls = parse_smali_class(
+        _HEAD
+        + _method(
+            "if-eq v0, v1, :a", "nop", ":a", "if-ne v1, v0, :b", "return-void", ":b",
+            "return-void", header="public static f(II)V",
+        )
+    )
+    (method,) = cls.methods
+    ifs = [(i.opcode, i.operands, i.branch_target) for i in method.instructions[::2][:2]]
+    assert ifs == [(Opcode.IF_EQ, (0, 1), 2), (Opcode.IF_NE, (1, 0), 4)]
+    cfg = build_cfg(method)
+    conditional = [
+        b for b, block in enumerate(cfg.blocks)
+        if method.instructions[block[-1]].opcode in IF_OPCODES
+    ]
+    assert [cfg.succ[b] for b in conditional] == [(1, 2), (3, 4)]
+    assert parse_smali_class(print_smali_class(cls)) == cls
 
 
 def test_branch_targets_inside_method(all_fixture_ids):

@@ -353,24 +353,24 @@ def dense_solve(cfg, entry, transfer):
     instructions = cfg.method.instructions
     in_sets = [{}] * len(instructions)
     block_out = {}
-    work = deque(sorted(b.bid for b in cfg.blocks))
+    work = deque(range(len(cfg.blocks)))
     queued = set(work)
     while work:
         bid = work.popleft()
         queued.discard(bid)
         state = {}
-        joins = [block_out.get(p, {}) for p in sorted(cfg.predecessors(bid))]
+        joins = [block_out.get(p, {}) for p in sorted(cfg.pred[bid])]
         if bid == 0:
             joins.append(entry)
         for incoming in joins:
             for reg, value in incoming.items():
                 state[reg] = state[reg] | value if reg in state else value
-        for i in cfg.block(bid).indices():
+        for i in cfg.blocks[bid]:
             in_sets[i] = state.copy()
             transfer(instructions[i], state)
         if block_out.get(bid) != state:
             block_out[bid] = state
-            for succ in sorted(cfg.successors(bid)):
+            for succ in sorted(cfg.succ[bid]):
                 if succ not in queued:
                     work.append(succ)
                     queued.add(succ)

@@ -20,12 +20,12 @@ from .ir import (
 )
 from .taint import (
     ENTRY_DEF,
-    ReachingDefs,
+    DefinitionQuery,
     TaintResult,
     def_closure,
+    definition_query,
     feeding_invoke,
     reaching_const_strings,
-    reaching_definitions,
 )
 
 
@@ -167,13 +167,13 @@ def _may_hold_sites(taint: TaintResult, sig: str, cfg: CFG) -> bool:
     )
 
 
-def find_guard_sites(taint: TaintResult, cfg: CFG, rd: ReachingDefs) -> list[GuardSite]:
+def find_guard_sites(taint: TaintResult, cfg: CFG, defs_at: DefinitionQuery) -> list[GuardSite]:
     """Branches of one method whose condition depends on device information.
 
     A site is either an if on a register holding the boolean of a string
     comparison with a tainted operand, or an if directly on a tainted
     register (reference_eq). The comparison form wins when both apply.
-    ``rd`` is the method's reaching definitions.
+    ``defs_at`` answers the method's reaching-definition queries.
     """
     method = cfg.method
     sig = method.signature
@@ -184,7 +184,7 @@ def find_guard_sites(taint: TaintResult, cfg: CFG, rd: ReachingDefs) -> list[Gua
         site = None
         tainted_here = taint.tainted_registers(sig, ins.index)
         for reg in ins.operands:
-            defs = def_closure(method, rd, ins.index, reg)
+            defs = def_closure(method, defs_at, ins.index, reg)
             for d in sorted(x for x in defs if x >= 0):
                 if method.instructions[d].opcode is not Opcode.MOVE_RESULT:
                     continue
@@ -226,14 +226,14 @@ def find_guard_sites(taint: TaintResult, cfg: CFG, rd: ReachingDefs) -> list[Gua
     return sites
 
 
-def collect_guard_strings(site: GuardSite, cfg: CFG, rd: ReachingDefs) -> list[str]:
+def collect_guard_strings(site: GuardSite, cfg: CFG, defs_at: DefinitionQuery) -> list[str]:
     """Const-strings semantically tied to the guard's condition.
 
     Collects literals flowing into the comparison call's operands, plus
     every literal defined in the site's basic block or in any block holding
-    a definition on the chain feeding the condition register. ``rd`` is the
-    method's reaching definitions. Every literal comes from a const-string,
-    so a method without one yields none.
+    a definition on the chain feeding the condition register. ``defs_at``
+    answers the method's reaching-definition queries. Every literal comes
+    from a const-string, so a method without one yields none.
     """
     if not cfg.has_const_string:
         return []
@@ -256,7 +256,7 @@ def collect_guard_strings(site: GuardSite, cfg: CFG, rd: ReachingDefs) -> list[s
             if (i, r) in visited:
                 continue
             visited.add((i, r))
-            for d in rd[i].get(r, frozenset()):
+            for d in defs_at(i, r):
                 if d == ENTRY_DEF or d in chain_defs:
                     continue
                 chain_defs.add(d)
@@ -273,7 +273,7 @@ def collect_guard_strings(site: GuardSite, cfg: CFG, rd: ReachingDefs) -> list[s
     if site.comparison_call is not None:
         invoke = method.instructions[site.comparison_call]
         for arg in invoke.operands:
-            for lit in reaching_const_strings(method, rd, invoke.index, arg):
+            for lit in reaching_const_strings(method, defs_at, invoke.index, arg):
                 add(lit)
             follow(invoke.index, arg)
     follow(site.branch_instruction, site.condition_register)
@@ -441,16 +441,16 @@ def find_device_guards(
     db: DeviceInfoDB,
 ) -> list[DeviceGuard]:
     """find_guard_sites + collect_guard_strings + confirm_device_guard, one
-    method at a time, sharing the method's reaching definitions between them.
+    method at a time, sharing one definition query per method between them.
     Methods where no if or comparison reads a tainted register are skipped,
     and an untainted one before its CFG is built."""
     guards: list[DeviceGuard] = []
     for sig in sorted(cfgs):
         if not taint.tainted_in(sig) or not _may_hold_sites(taint, sig, cfg := cfgs[sig]):
             continue
-        rd = reaching_definitions(cfg.method, cfg)
-        for site in find_guard_sites(taint, cfg, rd):
-            strings = collect_guard_strings(site, cfg, rd)
+        defs_at = definition_query(cfg)
+        for site in find_guard_sites(taint, cfg, defs_at):
+            strings = collect_guard_strings(site, cfg, defs_at)
             guard = confirm_device_guard(site, strings, db)
             if guard is not None:
                 guards.append(guard)

@@ -48,6 +48,10 @@ INVOKE_OPCODES = frozenset({
 })
 IF_OPCODES = frozenset({Opcode.IF_EQZ, Opcode.IF_NEZ, Opcode.IF_EQ, Opcode.IF_NE})
 RETURN_OPCODES = frozenset({Opcode.RETURN_VOID, Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE})
+_WRITES_FIRST_OPERAND = frozenset({
+    Opcode.CONST_STRING, Opcode.MOVE, Opcode.MOVE_RESULT,
+    Opcode.SGET_OBJECT, Opcode.IGET_OBJECT, Opcode.NEW_INSTANCE,
+})
 
 # opcode -> (register slot count or None for variadic, required attachment)
 # attachment is exactly one of literal / field_ref / method_ref / type_ref /
@@ -150,16 +154,7 @@ def validate_instruction(ins: Instruction) -> None:
 
 def written_register(ins: Instruction) -> int | None:
     """Register defined by the instruction, if any."""
-    if ins.opcode in (
-        Opcode.CONST_STRING,
-        Opcode.MOVE,
-        Opcode.MOVE_RESULT,
-        Opcode.SGET_OBJECT,
-        Opcode.IGET_OBJECT,
-        Opcode.NEW_INSTANCE,
-    ):
-        return ins.operands[0]
-    return None
+    return ins.operands[0] if ins.opcode in _WRITES_FIRST_OPERAND else None
 
 
 _READS_EVERY_OPERAND = IF_OPCODES | INVOKE_OPCODES | {Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE}

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .devicedb import DEFAULT_SOURCE_SPECS
 from .graphs import CFG, CallGraph, CFGMap
@@ -112,16 +114,15 @@ def solve_blocks(
     """Forward may-dataflow over one method's blocks, to a fixpoint.
 
     A state maps register -> value, and values join with ``|``: frozensets
-    of definition sites, or origin masks. ``entry`` holds on method entry.
+    of definition sites, or atom masks. ``entry`` holds on method entry.
     Returns the state before every instruction; once ``deadline`` has
-    passed, the states reached so far. States are read-only and shared:
-    a new one is made only where a write changes a register, so the points
-    between two writes hold the same mapping.
+    passed, the states reached so far. States, ``entry`` among them, are
+    read-only and shared: a new one is made only where a write changes a
+    register, so the points between two writes hold the same mapping.
     """
     instructions, writes = cfg.method.instructions, cfg.writes
     in_sets: list[Mapping] = [_UNREACHED] * len(instructions)
     block_out: dict[int, Mapping] = {}
-    entry = dict(entry)  # the caller may update its mapping after the solve
     work = deque(range(len(cfg.blocks)))
     queued = set(work)
     while work:
@@ -171,8 +172,50 @@ def reaching_definitions(method: MethodIR, cfg: CFG) -> ReachingDefs:
     return solve_blocks(cfg, entry, _define)
 
 
+# (index, register) -> reaching_definitions(method, cfg)[index].get(register, frozenset())
+DefinitionQuery = Callable[[int, int], frozenset[int]]
+
+
+def definition_query(cfg: CFG) -> DefinitionQuery:
+    """Reaching definitions one (index, register) at a time, by a memoised
+    backward walk over the CFG tables that stops at the register's writes."""
+    writes, blocks, block_of, pred = cfg.writes, cfg.blocks, cfg.block_of, cfg.pred
+    params = frozenset(cfg.method.param_registers())
+    memo: dict[tuple[int, int], frozenset[int]] = {}
+
+    def last_write(register: int, span: range) -> int | None:
+        return next((j for j in reversed(span) if writes[j] == register), None)
+
+    def query(index: int, register: int) -> frozenset[int]:
+        found = memo.get((index, register))
+        if found is None:
+            bid = block_of[index]
+            start = blocks[bid].start
+            if (d := last_write(register, range(start, index))) is not None:
+                found = frozenset((d,))
+            elif index > start:
+                found = query(start, register)
+            else:  # the writes ending blocks that reach this one without a write
+                defs, seen, work = set(), {bid}, [bid]
+                while work:
+                    b = work.pop()
+                    if b == 0 and register in params:
+                        defs.add(ENTRY_DEF)
+                    for p in pred[b]:
+                        if (d := last_write(register, blocks[p])) is not None:
+                            defs.add(d)
+                        elif p not in seen:
+                            seen.add(p)
+                            work.append(p)
+                found = frozenset(defs)
+            memo[(index, register)] = found
+        return found
+
+    return query
+
+
 def def_closure(
-    method: MethodIR, rd: ReachingDefs, index: int, register: int
+    method: MethodIR, defs_at: DefinitionQuery, index: int, register: int
 ) -> frozenset[int]:
     """Non-move definition sites feeding (register, index) through move chains."""
     result: set[int] = set()
@@ -183,7 +226,7 @@ def def_closure(
         if (i, r) in seen:
             continue
         seen.add((i, r))
-        for d in rd[i].get(r, frozenset()):
+        for d in defs_at(i, r):
             if d == ENTRY_DEF:
                 result.add(d)
             elif method.instructions[d].opcode is Opcode.MOVE:
@@ -194,10 +237,10 @@ def def_closure(
 
 
 def reaching_const_strings(
-    method: MethodIR, rd: ReachingDefs, index: int, register: int
+    method: MethodIR, defs_at: DefinitionQuery, index: int, register: int
 ) -> list[str]:
     """Literals of const-string definitions feeding (register, index)."""
-    defs = def_closure(method, rd, index, register)
+    defs = def_closure(method, defs_at, index, register)
     literals = []
     for d in sorted(d for d in defs if d >= 0):
         ins = method.instructions[d]
@@ -249,13 +292,13 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
     for method in program.methods():
         if not method.has_body:
             continue
-        rd: ReachingDefs | None = None
+        query: DefinitionQuery | None = None
 
-        def lazy_rd() -> ReachingDefs:
-            nonlocal rd
-            if rd is None:
-                rd = reaching_definitions(method, cfgs[method.signature])
-            return rd
+        def defs_at(index: int, register: int) -> frozenset[int]:
+            nonlocal query
+            if query is None:
+                query = definition_query(cfgs[method.signature])
+            return query(index, register)
 
         forname_results: set[int] = set()
         getmethod_results: set[int] = set()
@@ -283,7 +326,7 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
                 detail = UNKNOWN_KEY
                 if ins.operands:
                     consts = reaching_const_strings(
-                        method, lazy_rd(), ins.index, ins.operands[0]
+                        method, defs_at, ins.index, ins.operands[0]
                     )
                     if consts:
                         detail = consts[0]
@@ -298,7 +341,7 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
                 )
                 continue
             if ref.owner == CLASS_CLASS and ref.name == "forName" and ins.operands:
-                consts = reaching_const_strings(method, lazy_rd(), ins.index, ins.operands[0])
+                consts = reaching_const_strings(method, defs_at, ins.index, ins.operands[0])
                 if SYSPROP_DOTTED in consts and mr:
                     forname_results.add(mr[0])
                 continue
@@ -307,20 +350,20 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
                 and ref.name in ("getMethod", "getDeclaredMethod")
                 and len(ins.operands) >= 2
             ):
-                receiver_defs = def_closure(method, lazy_rd(), ins.index, ins.operands[0])
+                receiver_defs = def_closure(method, defs_at, ins.index, ins.operands[0])
                 name_consts = reaching_const_strings(
-                    method, lazy_rd(), ins.index, ins.operands[1]
+                    method, defs_at, ins.index, ins.operands[1]
                 )
                 if receiver_defs & forname_results and "get" in name_consts and mr:
                     getmethod_results.add(mr[0])
                 continue
             if ref.owner == REFLECT_METHOD_CLASS and ref.name == "invoke" and ins.operands:
-                receiver_defs = def_closure(method, lazy_rd(), ins.index, ins.operands[0])
+                receiver_defs = def_closure(method, defs_at, ins.index, ins.operands[0])
                 if not (receiver_defs & getmethod_results):
                     continue
                 detail = UNKNOWN_KEY
                 for arg in ins.operands[1:]:
-                    consts = reaching_const_strings(method, lazy_rd(), ins.index, arg)
+                    consts = reaching_const_strings(method, defs_at, ins.index, arg)
                     if consts:
                         detail = consts[0]
                         break
@@ -339,9 +382,11 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
 # ---------------------------------------------------------------------------
 # propagation engine
 #
-# Every dataflow value is an origin mask: one int whose bit i stands for
-# sources[i]. TaintFacts, with their ranges, uses and chains, are rebuilt
-# from the solved masks only when asked for.
+# A solved method's dataflow values are masks over its atoms (entry registers
+# a call can seed, resolved call results, source reads and invokes), whose
+# values are origin masks, bit i standing for sources[i]. The transfer only
+# copies, unions and kills, so a point's origin mask is the union of its
+# atoms' values. TaintFacts are rebuilt only when asked for.
 
 FactKey = tuple[str, int, int, int]  # (method, register, def index, origin index)
 
@@ -350,12 +395,23 @@ FactKey = tuple[str, int, int, int]  # (method, register, def index, origin inde
 Derivation = tuple[FactKey, Step | None]
 
 
+class _Body(NamedTuple):
+    """One method's symbolic solution and the equations read off it."""
+    points: list[Mapping[int, int]]  # the state before every instruction
+    atoms: list[tuple[int, str | None, int | None]]  # (source bits, callee, entry register)
+    transfer: Transfer
+    returns: tuple[int, ...]  # the atoms the method can return
+    sends: list[tuple[str, int, tuple[int, ...]]]  # (callee, entry register, atoms)
+
+
 @dataclass
 class TaintResult:
     sources: tuple[DeviceInfoSource, ...]
     iterations: int
     converged: bool
-    _points: dict[str, list[Mapping[int, int]]] = field(default_factory=dict, repr=False)
+    # solved method -> (its symbolic states, the mask of its atoms holding taint, -1 for all)
+    _points: dict[str, tuple[list, int]] = field(default_factory=dict, repr=False)
+    _methods: Mapping[str, MethodIR] = field(default_factory=dict, repr=False)
     _build_facts: Callable[[], frozenset[TaintFact]] | None = field(
         default=None, repr=False, compare=False
     )
@@ -367,19 +423,22 @@ class TaintResult:
 
     def tainted_registers(self, method_sig: str, index: int) -> frozenset[int]:
         """Registers tainted immediately before the instruction executes."""
-        sets = self._points.get(method_sig)
-        if sets is None or index >= len(sets):
+        states, live = self._points.get(method_sig, ((), 0))
+        if index >= len(states):
             return frozenset()
-        return frozenset(sets[index])
+        if live == -1:  # every atom holds taint
+            return frozenset(states[index])
+        return frozenset(reg for reg, mask in states[index].items() if mask & live)
 
     def tainted_in(self, method_sig: str) -> bool:
         """Whether any register of the method is tainted at any point."""
-        return any(self._points.get(method_sig, ()))
+        states, live = self._points.get(method_sig, ((), 0))
+        return bool(live) and any(mask & live for state in states for mask in state.values())
 
     def per_point(self) -> dict[str, dict[int, frozenset[int]]]:
         return {
-            sig: {i: frozenset(state) for i, state in enumerate(sets)}
-            for sig, sets in self._points.items()
+            sig: {i: self.tainted_registers(sig, i) for i in range(len(method.instructions))}
+            for sig, method in self._methods.items()
         }
 
 
@@ -390,14 +449,15 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class TaintEngine:
-    """Worklist fixpoint over per-method passes.
+def _union(values: list[int], atoms: Iterable[int]) -> int:
+    return reduce(or_, [values[a] for a in atoms], 0)
 
-    A pass solves one method body from its entry masks (what callers pass
-    in) and its callees' summaries (the masks they return). The worklist
-    starts from the methods holding a source, and a method is queued when
-    either input changes, so one nothing can taint is never passed.
-    """
+
+class TaintEngine:
+    """Worklist fixpoint over method summaries, from the methods holding a
+    source. Each demanded body is solved once; new entry masks or callee
+    summaries re-evaluate only its return and call-argument atoms.
+    ``max_method_passes`` caps the body solves; None means no cap."""
 
     def __init__(
         self,
@@ -411,12 +471,11 @@ class TaintEngine:
         self.call_graph = call_graph
         self.sources = tuple(sources)
         self.deadline = deadline
-        n_methods = max(1, len(cfgs))
-        self.max_method_passes = max_method_passes or max(200, 40 * n_methods)
+        self.max_method_passes = max_method_passes
 
         self.entry_facts: dict[str, dict[int, int]] = {}
         self.summaries: dict[str, int] = {}
-        self.solutions: dict[str, list[Mapping[int, int]]] = {}
+        self.solutions: dict[str, _Body] = {}
         self.iterations = 0
         self._sget_bits: dict[str, dict[int, int]] = {}
         self._invoke_bits: dict[tuple[str, int], int] = {}
@@ -454,28 +513,48 @@ class TaintEngine:
             self._shapes[sig] = (returns, calls, results)
         return self._shapes[sig]
 
-    def _transfer(self, sig: str) -> Transfer:
-        sget_bits = self._sget_bits.get(sig, {})
-        results = self._shape(sig)[2]
+    def _solve_body(self, sig: str) -> None:
+        """Solve a method body once, with an atom for each of its inputs."""
+        self.iterations += 1
+        method = self.cfgs.methods[sig]
+        returns, calls, results = self._shape(sig)
+        atoms: list[tuple[int, str | None, int | None]] = []
+
+        def atom(bits: int, callee: str | None = None, reg: int | None = None) -> int:
+            atoms.append((bits, callee, reg))
+            return 1 << len(atoms) - 1
+
+        # a call seeds the last registers of the frame, one per argument word
+        top = low = method.registers
+        for e in self.call_graph.callers_of(sig):
+            low = min(low, top - len(self.cfgs.methods[e.caller].instructions[e.call_index].operands))
+        entry = {reg: atom(0, reg=reg) for reg in range(max(0, low), top)}
+        # a source read's atom, and a move-result's for its source and callee
+        own = {i: atom(bits) for i, bits in self._sget_bits.get(sig, {}).items()}
+        own.update((i, atom(b, callee)) for i, (b, callee, _) in results.items() if b or callee)
 
         def transfer(ins: Instruction, state: Mapping[int, int]) -> int:
-            op = ins.opcode
-            if op is Opcode.MOVE:
+            if ins.opcode is Opcode.MOVE:
                 return state.get(ins.operands[1], 0)
-            if op is Opcode.MOVE_RESULT:
-                # the invoke's own source, plus the callee's summary or, for
-                # an unresolved callee, every argument's
-                mask, callee, args = results[ins.index]
-                if callee is not None:
-                    return mask | self.summaries.get(callee, 0)
-                for arg in args:
-                    mask |= state.get(arg, 0)
-                return mask
-            if op is Opcode.SGET_OBJECT:
-                return sget_bits.get(ins.index, 0)
-            return 0  # any other write kills
+            mask = own.get(ins.index, 0)  # any other write without an atom kills
+            for arg in results[ins.index][2] if ins.opcode is Opcode.MOVE_RESULT else ():
+                mask |= state.get(arg, 0)  # an unresolved callee returns its arguments'
+            return mask
 
-        return transfer
+        points = solve_blocks(self.cfgs[sig], entry, transfer, self.deadline)
+        returned = reduce(or_, [points[index].get(reg, 0) for index, reg in returns], 0)
+        sends = [
+            (callee, base + word, tuple(_bits(points[index][arg])))
+            for index, callee, base, args in calls
+            for word, arg in enumerate(args)
+            if arg in points[index]
+        ]
+        self.solutions[sig] = _Body(points, atoms, transfer, tuple(_bits(returned)), sends)
+
+    def _values(self, sig: str) -> list[int]:
+        """Each atom's origin mask now; neither dict has a None key."""
+        entry, got = self.entry_facts.get(sig, {}), self.summaries
+        return [b | got.get(c, 0) | entry.get(r, 0) for b, c, r in self.solutions[sig].atoms]
 
     # -- fixpoint ---------------------------------------------------------
 
@@ -484,76 +563,63 @@ class TaintEngine:
         queued = set(work)
         converged = True
         while work:
-            if self.iterations >= self.max_method_passes or (
-                self.deadline is not None and time.monotonic() > self.deadline
-            ):
+            sig = work.popleft()
+            if (self.deadline is not None and time.monotonic() > self.deadline) or (
+                sig not in self.solutions and self.iterations == self.max_method_passes
+            ):  # a cap of None never equals the count
                 converged = False
                 break
-            sig = work.popleft()
             queued.discard(sig)
-            self.iterations += 1
-            changed = self._apply_pass(sig)
-            for dirty in changed:
+            if sig not in self.solutions:
+                self._solve_body(sig)
+            for dirty in self._evaluate(sig):
                 if dirty not in queued:
                     work.append(dirty)
                     queued.add(dirty)
         return self._build_result(converged)
 
-    def _apply_pass(self, sig: str) -> list[str]:
-        """Run one method pass; return methods whose inputs changed."""
-        in_sets = solve_blocks(
-            self.cfgs[sig], self.entry_facts.get(sig, {}), self._transfer(sig), self.deadline
-        )
-        self.solutions[sig] = in_sets
-        returns, calls, _ = self._shape(sig)
+    def _evaluate(self, sig: str) -> list[str]:
+        """Re-evaluate a method's summary and call arguments; return the methods they change."""
+        body, values = self.solutions[sig], self._values(sig)
         dirty: list[str] = []
-        summary = 0
-        for index, reg in returns:
-            summary |= in_sets[index].get(reg, 0)
-        if summary != self.summaries.get(sig, 0):
+        if (summary := _union(values, body.returns)) != self.summaries.get(sig, 0):
             self.summaries[sig] = summary
-            for edge in sorted(
-                self.call_graph.callers_of(sig), key=lambda e: (e.caller, e.call_index)
-            ):
-                if edge.resolved:
-                    dirty.append(edge.caller)
-        for index, callee, base, args in calls:
+            dirty += sorted({e.caller for e in self.call_graph.callers_of(sig) if e.resolved})
+        for callee, reg, atoms in body.sends:
             regs = self.entry_facts.setdefault(callee, {})
-            for word, arg in enumerate(args):
-                mask = in_sets[index].get(arg, 0)
-                if mask & ~regs.get(base + word, 0):
-                    regs[base + word] = regs.get(base + word, 0) | mask
-                    dirty.append(callee)
-        return list(dict.fromkeys(dirty))
+            if (mask := _union(values, atoms)) & ~regs.get(reg, 0):
+                regs[reg] = regs.get(reg, 0) | mask
+                dirty.append(callee)
+        return dirty
 
     def sweep_once(self) -> int:
-        """Extra propagation round over every method; returns the number of
-        new (method, register, origin) bits it adds, 0 at a fixpoint."""
+        """Extra propagation round over every method, solved or not; returns
+        the number of new (method, register, origin) bits it adds, 0 at a fixpoint."""
 
         def register_masks() -> dict[tuple[str, int], int]:
             masks: dict[tuple[str, int], int] = {}
-            for sig, in_sets in self.solutions.items():
-                for reg, _, mask in self._definitions(sig, in_sets):
+            for sig in self.solutions:
+                for reg, _, mask in self._definitions(sig):
                     masks[(sig, reg)] = masks.get((sig, reg), 0) | mask
             return masks
 
         before = register_masks()
         for sig in sorted(self.cfgs):
-            self._apply_pass(sig)
+            if sig not in self.solutions:
+                self._solve_body(sig)
+            self._evaluate(sig)
         return sum((m & ~before.get(k, 0)).bit_count() for k, m in register_masks().items())
 
     # -- facts --------------------------------------------------------------
 
-    def _definitions(
-        self, sig: str, in_sets: list[Mapping[int, int]]
-    ) -> Iterator[tuple[int, int, int]]:
-        """(register, definition index, written mask) of each tainted
-        definition of a method whose pass left ``in_sets``."""
+    def _definitions(self, sig: str) -> Iterator[tuple[int, int, int]]:
+        """(register, definition index, written origin mask) of each tainted
+        definition of a solved method."""
         yield from ((reg, ENTRY_DEF, mask) for reg, mask in self.entry_facts.get(sig, {}).items())
-        transfer = self._transfer(sig)
-        instructions = self.cfgs.methods[sig].instructions
+        (points, _, transfer, _, _), values = self.solutions[sig], self._values(sig)
+        code = self.cfgs.methods[sig].instructions
         for i, w in enumerate(self.cfgs[sig].writes):
-            if w is not None and (mask := transfer(instructions[i], in_sets[i])):
+            if w is not None and (mask := _union(values, _bits(transfer(code[i], points[i])))):
                 yield w, i, mask
 
     def _incoming(self, key: FactKey, live: Callable) -> tuple[Step, ...] | list[Derivation]:
@@ -583,9 +649,7 @@ class TaintEngine:
             return [(k, None) for i, ret in returns for k in live(callee, ret, i, origin)]
         return [(k, Step.LIB_RETURN) for arg in args for k in live(sig, arg, d, origin)]
 
-    def _facts(
-        self, points: dict[str, list[Mapping[int, int]]], exact: bool
-    ) -> frozenset[TaintFact]:
+    def _facts(self, solved: list[str], exact: bool) -> frozenset[TaintFact]:
         """TaintFacts of the solved methods, one per definition and origin bit.
 
         A chain follows a shortest derivation from a source read, ties going
@@ -595,8 +659,8 @@ class TaintEngine:
         """
         keys = {
             (sig, reg, d, origin)
-            for sig, in_sets in points.items()
-            for reg, d, mask in self._definitions(sig, in_sets)
+            for sig in solved
+            for reg, d, mask in self._definitions(sig)
             for origin in _bits(mask)
         }
         rds: dict[str, ReachingDefs] = {}
@@ -658,15 +722,16 @@ class TaintEngine:
         return frozenset(facts)
 
     def _build_result(self, converged: bool) -> TaintResult:
-        points = dict(self.solutions)
+        points = {}
+        for sig, body in self.solutions.items():
+            values = self._values(sig)
+            live = -1 if all(values) else sum(1 << a for a, v in enumerate(values) if v)
+            points[sig] = (body.points, live)
         return TaintResult(
             sources=self.sources,
             iterations=self.iterations,
             converged=converged,
-            # a method never passed is untainted everywhere
-            _points={
-                sig: points[sig] if sig in points else [_UNREACHED] * len(method.instructions)
-                for sig, method in self.cfgs.methods.items()
-            },
-            _build_facts=lambda: self._facts(points, converged),
+            _points=points,
+            _methods=self.cfgs.methods,
+            _build_facts=lambda: self._facts(list(points), converged),
         )

@@ -1,5 +1,6 @@
 import pytest
 
+import devscan.taint
 from devscan import behavior
 from devscan.behavior import (
     Arm,
@@ -13,27 +14,26 @@ from devscan.behavior import (
 )
 from devscan.graphs import build_call_graph, build_cfgs
 from devscan.smali import load_program
-from devscan.taint import TaintEngine, find_sources, reaching_definitions
+from devscan.taint import TaintEngine, definition_query, find_sources
 from tests.conftest import corpus_run
 
 OPPO_SSP = "Lcom/fixtures/oppo/PermissionPage;->startSettingPage(Landroid/content/Context;)V"
 
 
-def rd_of(run, sig):
-    cfg = run.cfgs[sig]
-    return reaching_definitions(cfg.method, cfg)
+def query_of(run, sig):
+    return definition_query(run.cfgs[sig])
 
 
 def sites_in(run, sigs):
     return [
         site
         for sig in sorted(sigs)
-        for site in find_guard_sites(run.taint, run.cfgs[sig], rd_of(run, sig))
+        for site in find_guard_sites(run.taint, run.cfgs[sig], query_of(run, sig))
     ]
 
 
 def guard_strings(run, site):
-    return collect_guard_strings(site, run.cfgs[site.method], rd_of(run, site.method))
+    return collect_guard_strings(site, run.cfgs[site.method], query_of(run, site.method))
 
 
 def guard_sites_of(fid):
@@ -85,19 +85,34 @@ def test_sites_without_identifiers_stay_sites(device_db):
     "fid, expected", [("multi_guard", 1), ("zero_sources", 0), ("untainted_cmp", 0)]
 )
 def test_reaching_definitions_once_per_method(device_db, monkeypatch, fid, expected):
+    """The guard stage asks backward definition queries instead of solving
+    reaching definitions, and only in methods that can hold a site."""
     run = corpus_run(fid)
-    calls = []
-    real = behavior.reaching_definitions
+    built, queries, solves = [], [], []
+    real_query, real_solve = behavior.definition_query, devscan.taint.solve_blocks
 
-    def counted(method, cfg):
-        calls.append(method.signature)
-        return real(method, cfg)
+    def counted_query(cfg):
+        built.append(cfg.method.signature)
+        query = real_query(cfg)
 
-    monkeypatch.setattr(behavior, "reaching_definitions", counted)
+        def counted(index, register):
+            queries.append((index, register))
+            return query(index, register)
+
+        return counted
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args[0].method.signature)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(behavior, "definition_query", counted_query)
+    monkeypatch.setattr(devscan.taint, "solve_blocks", counted_solve)
     find_device_guards(run.taint, run.cfgs, device_db)
     # multi_guard holds two sites in one method; in the others no if or
     # string comparison reads a tainted register
-    assert len(calls) == expected
+    assert solves == []
+    assert len(built) == expected
+    assert bool(queries) == bool(expected)
 
 
 def test_site_filter_drops_no_site(all_fixture_ids):

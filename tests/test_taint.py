@@ -1,9 +1,7 @@
 from collections import deque
-from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-import devscan.taint
 from devscan.graphs import build_call_graph, build_cfg, build_cfgs
 from devscan.ir import Opcode, Program, written_register
 from devscan.smali import parse_smali_class
@@ -13,6 +11,7 @@ from devscan.taint import (
     SourceKind,
     Step,
     TaintEngine,
+    definition_query,
     feeding_invoke,
     find_sources,
     reaching_definitions,
@@ -346,8 +345,9 @@ def test_taint_json_dump_shape():
 # The reference is the block solver as it was before states were shared:
 # predecessors sorted on every visit, the transfer run on every
 # instruction, which updates its state in place, and a fresh dict for every
-# point. Its taint transfer walks back from each move-result to its invoke
-# and looks the call edge up on every visit.
+# point. Its taint transfer works on origin masks, walks back from each
+# move-result to its invoke and looks the call edge up on every visit, and
+# its fixpoint re-solves a whole body whenever the method's inputs change.
 
 def dense_solve(cfg, entry, transfer):
     instructions = cfg.method.instructions
@@ -412,6 +412,62 @@ def dense_taint_transfer(engine, sig):
     return transfer
 
 
+class RePassReference:
+    """The engine's fixpoint as it was before bodies were solved once: a
+    method is re-solved with dense_solve whenever its entry masks or a
+    callee's summary change."""
+
+    def __init__(self, cfgs, call_graph, sources):
+        self.cfgs, self.call_graph, self.sources = cfgs, call_graph, tuple(sources)
+        self.summaries, self.entry_facts, self.solutions = {}, {}, {}
+        self.iterations = 0
+
+    def solve(self):
+        work = deque(sorted({src.method for src in self.sources}))
+        queued = set(work)
+        while work:
+            sig = work.popleft()
+            queued.discard(sig)
+            self.iterations += 1
+            for dirty in self._apply_pass(sig):
+                if dirty not in queued:
+                    work.append(dirty)
+                    queued.add(dirty)
+
+    def _apply_pass(self, sig):
+        cfg = self.cfgs[sig]
+        in_sets = dense_solve(cfg, self.entry_facts.get(sig, {}), dense_taint_transfer(self, sig))
+        self.solutions[sig] = in_sets
+        dirty, summary = [], 0
+        for ins in cfg.method.instructions:
+            if ins.opcode in (Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE):
+                summary |= in_sets[ins.index].get(ins.operands[0], 0)
+        if summary != self.summaries.get(sig, 0):
+            self.summaries[sig] = summary
+            dirty += sorted(e.caller for e in self.call_graph.callers_of(sig) if e.resolved)
+        for ins in cfg.method.instructions:
+            edge = self.call_graph.edge_at(sig, ins.index)
+            if edge is None or not edge.resolved:
+                continue
+            base = self.cfgs.methods[edge.callee].registers - len(ins.operands)
+            regs = self.entry_facts.setdefault(edge.callee, {})
+            for word, arg in enumerate(ins.operands if base >= 0 else ()):
+                mask = in_sets[ins.index].get(arg, 0)
+                if mask & ~regs.get(base + word, 0):
+                    regs[base + word] = regs.get(base + word, 0) | mask
+                    dirty.append(edge.callee)
+        return list(dict.fromkeys(dirty))
+
+    def per_point(self):
+        return {
+            sig: {
+                i: frozenset(self.solutions[sig][i]) if sig in self.solutions else frozenset()
+                for i in range(len(method.instructions))
+            }
+            for sig, method in self.cfgs.methods.items()
+        }
+
+
 METHODS = 3
 LABELS = 3
 REGS = 3  # v0..v2 are locals, and v3 is p0
@@ -457,8 +513,7 @@ def _random_programs(draw):
 @settings(max_examples=200, deadline=None)
 def test_solver_matches_dense_reference(program, cap):
     # every state is read only after the whole solve, so a write leaking
-    # into a state an earlier point shares shows as a difference; a solve
-    # cut short by the pass cap also shows one into a method's entry state
+    # into a state an earlier point shares shows as a difference
     for method in program.methods():
         cfg = build_cfg(method)
         entry = {r: frozenset([ENTRY_DEF]) for r in method.param_registers()}
@@ -468,14 +523,71 @@ def test_solver_matches_dense_reference(program, cap):
 
     cfgs, call_graph = build_cfgs(program), build_call_graph(program)
     sources = find_sources(program, cfgs)
-    for max_passes in (None, cap):
-        result = TaintEngine(cfgs, call_graph, sources, max_passes).solve()
-        reference = TaintEngine(cfgs, call_graph, sources, max_passes)
+    reference = RePassReference(cfgs, call_graph, sources)
+    reference.solve()
+    expected = reference.per_point()
 
-        def solve(cfg, entry, transfer, deadline=None):
-            return dense_solve(cfg, entry, dense_taint_transfer(reference, cfg.method.signature))
+    engine = TaintEngine(cfgs, call_graph, sources)
+    result = engine.solve()
+    assert result.converged
+    assert result.per_point() == expected
+    assert engine.solutions.keys() == reference.solutions.keys()
+    assert result.iterations == len(engine.solutions)
 
-        with mock.patch.object(devscan.taint, "solve_blocks", solve):
-            expected = reference.solve()
-        assert result.per_point() == expected.per_point()
-        assert (result.iterations, result.converged) == (expected.iterations, expected.converged)
+    # a capped solve stops at the first body beyond the cap, and what it
+    # has found by then is already true
+    capped = TaintEngine(cfgs, call_graph, sources, cap).solve()
+    assert capped.converged == (len(reference.solutions) <= cap)
+    for sig, points in capped.per_point().items():
+        for i, regs in points.items():
+            assert regs <= expected[sig][i]
+
+
+@given(_random_programs(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_definition_query_matches_reaching_definitions(program, rng):
+    for method in program.methods():
+        cfg = build_cfg(method)
+        rd = reaching_definitions(method, cfg)
+        query = definition_query(cfg)
+        # ask in a random order, so memoised answers feed later walks
+        asked = [(i, r) for i in range(len(method.instructions)) for r in range(REGS + 2)]
+        rng.shuffle(asked)
+        for i, r in asked:
+            assert query(i, r) == rd[i].get(r, frozenset()), (method.signature, i, r)
+
+
+def test_call_ring_solves_each_body_once():
+    """Methods calling each other in a ring: each new origin reaching a
+    method once re-solved its body, and now only re-evaluates its atoms."""
+    n = 5
+    lines = [".class public Lt/Ring;", ".super Ljava/lang/Object;"]
+    for k in range(n):
+        lines += [
+            f".method public static m{k}(Ljava/lang/String;)Ljava/lang/String;",
+            "    .registers 3",
+            f"    sget-object v0, Landroid/os/Build;->{('BRAND', 'MODEL')[k % 2]}:Ljava/lang/String;",
+            "    if-nez p0, :call",
+            "    move-object p0, v0",
+            "    :call",
+            f"    invoke-static {{p0}}, Lt/Ring;->m{(k + 1) % n}(Ljava/lang/String;)Ljava/lang/String;",
+            "    move-result-object v1",
+            "    if-nez v1, :done",
+            "    move-object v1, p0",
+            "    :done",
+            "    return-object v1",
+            ".end method",
+        ]
+    program = program_of("\n".join(lines))
+    cfgs, call_graph = build_cfgs(program), build_call_graph(program)
+    sources = find_sources(program, cfgs)
+    engine = TaintEngine(cfgs, call_graph, sources)
+    result = engine.solve()
+    assert result.converged
+    assert len(engine.solutions) == n
+    assert result.iterations == n
+    reference = RePassReference(cfgs, call_graph, sources)
+    reference.solve()
+    assert reference.iterations > n
+    assert result.per_point() == reference.per_point()
+    assert engine.sweep_once() == 0

@@ -7,10 +7,11 @@ import json
 from pathlib import Path
 
 # methods in the ring and registers in each method's loop chain; the
-# analysis cost grows linearly with both, and these sizes take about 8 s
-# with no deadline on a 2-vCPU x86 VM, 4x the fixture's 2 s budget
+# analysis cost grows linearly with the ring and faster than linearly with
+# the chain, and these sizes take about 9.5 s with no deadline on a 2-vCPU
+# x86 VM, almost 5x the fixture's 2 s budget
 N = 900
-CHAIN = 24
+CHAIN = 40
 OFFSETS = (1, 2, 3, 5, 8, 13, 21, 34)  # call targets per method
 FIELDS = ["BRAND", "DEVICE", "DISPLAY", "FINGERPRINT", "MANUFACTURER", "MODEL", "PRODUCT"]
 CLASS = "Lcom/fixtures/bomb/CallWeb;"

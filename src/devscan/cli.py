@@ -195,7 +195,7 @@ def cmd_aggregate(args) -> int:
         print(f"no reports in {args.report_dir}", file=sys.stderr)
         return EXIT_INPUT
     reports = [load_report(p) for p in paths]
-    corpus = aggregate(reports, group_by=args.group_by)
+    corpus = aggregate(reports)
     text = canonical_json(corpus.to_json_dict())
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -303,9 +303,8 @@ def build_parser() -> _Parser:
     batch.add_argument("--timeout", type=float, default=3600.0)
     batch.set_defaults(func=cmd_batch)
 
-    agg = sub.add_parser("aggregate", help="merge per-app reports into corpus tables")
+    agg = sub.add_parser("aggregate", help="merge per-app reports into per-market corpus tables")
     agg.add_argument("report_dir")
-    agg.add_argument("--group-by", default="market")
     agg.add_argument("--out")
     agg.set_defaults(func=cmd_aggregate)
 

@@ -349,16 +349,15 @@ class CorpusReport:
         }
 
 
-def aggregate(reports: list[AppReport], group_by: str = "market") -> CorpusReport:
-    """Counts, distribution tables and averages over app reports.
+def aggregate(reports: list[AppReport]) -> CorpusReport:
+    """Counts, distribution tables and averages over app reports, one group
+    per market.
 
     Averages cover only apps with at least one snippet; raw sums travel in
     the output so partial aggregates merge exactly.
     """
     if not reports:
         raise ValueError("no reports to aggregate")
-    if group_by != "market":
-        raise ValueError(f"unsupported grouping {group_by!r}")
     groups: dict[str, dict] = {}
     totals = _new_group()
     for report in reports:
@@ -382,8 +381,13 @@ def merge_corpus_reports(parts: list[CorpusReport]) -> CorpusReport:
 
 
 def load_report(path: str | Path) -> AppReport:
+    """One app report; a ValueError naming the file when it holds none."""
     with open(path, "r", encoding="utf-8") as fh:
-        return AppReport.from_json_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return AppReport.from_json_dict(data)
+    except (TypeError, ValueError) as exc:  # not an object, or not a report's keys
+        raise ValueError(f"{path}: not an app report: {exc}") from None
 
 
 def save_report(report: AppReport, path: str | Path) -> None:

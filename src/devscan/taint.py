@@ -97,9 +97,6 @@ class TaintFact:
 
 ENTRY_DEF = -1
 
-# per instruction: register -> definition sites reaching it
-ReachingDefs = list[Mapping[int, frozenset[int]]]
-
 # the value an instruction writes to its register, given the state before
 # it; a falsy value leaves the register out of the state
 Transfer = Callable[[Instruction, Mapping], object]
@@ -110,13 +107,13 @@ _UNREACHED: Mapping = MappingProxyType({})
 
 def solve_blocks(
     cfg: CFG, entry: Mapping, transfer: Transfer, deadline: float | None = None
-) -> list[Mapping]:
+) -> tuple[list[Mapping], bool]:
     """Forward may-dataflow over one method's blocks, to a fixpoint.
 
-    A state maps register -> value, and values join with ``|``: frozensets
-    of definition sites, or atom masks. ``entry`` holds on method entry.
-    Returns the state before every instruction; once ``deadline`` has
-    passed, the states reached so far. States, ``entry`` among them, are
+    A state maps register -> value, and values (the engine's atom masks)
+    join with ``|``. ``entry`` holds on method entry. Returns the state
+    before every instruction and True; once ``deadline`` has passed, the
+    states reached so far and False. States, ``entry`` among them, are
     read-only and shared: a new one is made only where a write changes a
     register, so the points between two writes hold the same mapping.
     """
@@ -127,7 +124,7 @@ def solve_blocks(
     queued = set(work)
     while work:
         if deadline is not None and time.monotonic() > deadline:
-            break  # partial in_sets; the caller flags non-convergence
+            return in_sets, False
         bid = work.popleft()
         queued.discard(bid)
         joins = [block_out[p] for p in cfg.pred[bid] if p in block_out]
@@ -156,31 +153,20 @@ def solve_blocks(
                 if succ not in queued:
                     work.append(succ)
                     queued.add(succ)
-    return in_sets
+    return in_sets, True
 
 
-def _define(ins: Instruction, state: Mapping) -> frozenset[int]:
-    return frozenset([ins.index])
-
-
-def reaching_definitions(method: MethodIR, cfg: CFG) -> ReachingDefs:
-    """Per-instruction map register -> definition sites reaching it.
-
-    ENTRY_DEF stands for the parameter value live on method entry.
-    """
-    entry = {r: frozenset([ENTRY_DEF]) for r in method.param_registers()}
-    return solve_blocks(cfg, entry, _define)
-
-
-# (index, register) -> reaching_definitions(method, cfg)[index].get(register, frozenset())
+# (index, register) -> the definition sites of the register reaching the
+# instruction, ENTRY_DEF for a value live on method entry
 DefinitionQuery = Callable[[int, int], frozenset[int]]
 
 
-def definition_query(cfg: CFG) -> DefinitionQuery:
+def definition_query(cfg: CFG, entry: Iterable[int] = ()) -> DefinitionQuery:
     """Reaching definitions one (index, register) at a time, by a memoised
-    backward walk over the CFG tables that stops at the register's writes."""
+    backward walk over the CFG tables that stops at the register's writes.
+    The parameters and the ``entry`` registers are live on method entry."""
     writes, blocks, block_of, pred = cfg.writes, cfg.blocks, cfg.block_of, cfg.pred
-    params = frozenset(cfg.method.param_registers())
+    live_on_entry = frozenset((*cfg.method.param_registers(), *entry))
     memo: dict[tuple[int, int], frozenset[int]] = {}
 
     def last_write(register: int, span: range) -> int | None:
@@ -199,7 +185,7 @@ def definition_query(cfg: CFG) -> DefinitionQuery:
                 defs, seen, work = set(), {bid}, [bid]
                 while work:
                     b = work.pop()
-                    if b == 0 and register in params:
+                    if b == 0 and register in live_on_entry:
                         defs.add(ENTRY_DEF)
                     for p in pred[b]:
                         if (d := last_write(register, blocks[p])) is not None:
@@ -456,22 +442,20 @@ def _union(values: list[int], atoms: Iterable[int]) -> int:
 class TaintEngine:
     """Worklist fixpoint over method summaries, from the methods holding a
     source. Each demanded body is solved once; new entry masks or callee
-    summaries re-evaluate only its return and call-argument atoms.
-    ``max_method_passes`` caps the body solves; None means no cap."""
+    summaries re-evaluate only its return and call-argument atoms. A
+    passed ``deadline`` (``time.monotonic()``) stops it where it is."""
 
     def __init__(
         self,
         cfgs: CFGMap,
         call_graph: CallGraph,
         sources: list[DeviceInfoSource],
-        max_method_passes: int | None = None,
         deadline: float | None = None,
     ):
         self.cfgs = cfgs
         self.call_graph = call_graph
         self.sources = tuple(sources)
         self.deadline = deadline
-        self.max_method_passes = max_method_passes
 
         self.entry_facts: dict[str, dict[int, int]] = {}
         self.summaries: dict[str, int] = {}
@@ -513,8 +497,9 @@ class TaintEngine:
             self._shapes[sig] = (returns, calls, results)
         return self._shapes[sig]
 
-    def _solve_body(self, sig: str) -> None:
-        """Solve a method body once, with an atom for each of its inputs."""
+    def _solve_body(self, sig: str) -> bool:
+        """Solve a method body once, with an atom for each of its inputs;
+        False when the deadline cut the solve short."""
         self.iterations += 1
         method = self.cfgs.methods[sig]
         returns, calls, results = self._shape(sig)
@@ -541,7 +526,7 @@ class TaintEngine:
                 mask |= state.get(arg, 0)  # an unresolved callee returns its arguments'
             return mask
 
-        points = solve_blocks(self.cfgs[sig], entry, transfer, self.deadline)
+        points, finished = solve_blocks(self.cfgs[sig], entry, transfer, self.deadline)
         returned = reduce(or_, [points[index].get(reg, 0) for index, reg in returns], 0)
         sends = [
             (callee, base + word, tuple(_bits(points[index][arg])))
@@ -550,6 +535,7 @@ class TaintEngine:
             if arg in points[index]
         ]
         self.solutions[sig] = _Body(points, atoms, transfer, tuple(_bits(returned)), sends)
+        return finished
 
     def _values(self, sig: str) -> list[int]:
         """Each atom's origin mask now; neither dict has a None key."""
@@ -564,14 +550,12 @@ class TaintEngine:
         converged = True
         while work:
             sig = work.popleft()
-            if (self.deadline is not None and time.monotonic() > self.deadline) or (
-                sig not in self.solutions and self.iterations == self.max_method_passes
-            ):  # a cap of None never equals the count
+            if self.deadline is not None and time.monotonic() > self.deadline:
                 converged = False
                 break
             queued.discard(sig)
-            if sig not in self.solutions:
-                self._solve_body(sig)
+            if sig not in self.solutions and not self._solve_body(sig):
+                converged = False  # its states are partial
             for dirty in self._evaluate(sig):
                 if dirty not in queued:
                     work.append(dirty)
@@ -591,24 +575,6 @@ class TaintEngine:
                 regs[reg] = regs.get(reg, 0) | mask
                 dirty.append(callee)
         return dirty
-
-    def sweep_once(self) -> int:
-        """Extra propagation round over every method, solved or not; returns
-        the number of new (method, register, origin) bits it adds, 0 at a fixpoint."""
-
-        def register_masks() -> dict[tuple[str, int], int]:
-            masks: dict[tuple[str, int], int] = {}
-            for sig in self.solutions:
-                for reg, _, mask in self._definitions(sig):
-                    masks[(sig, reg)] = masks.get((sig, reg), 0) | mask
-            return masks
-
-        before = register_masks()
-        for sig in sorted(self.cfgs):
-            if sig not in self.solutions:
-                self._solve_body(sig)
-            self._evaluate(sig)
-        return sum((m & ~before.get(k, 0)).bit_count() for k, m in register_masks().items())
 
     # -- facts --------------------------------------------------------------
 
@@ -655,7 +621,8 @@ class TaintEngine:
         A chain follows a shortest derivation from a source read, ties going
         to the smallest parent key. With ``exact`` a valid range ends at the
         last point its definition reaches and ``uses`` lists the points
-        reading it; a partial result keeps both coarse.
+        reading it, both from definition queries; a partial result keeps both
+        coarse.
         """
         keys = {
             (sig, reg, d, origin)
@@ -663,15 +630,15 @@ class TaintEngine:
             for reg, d, mask in self._definitions(sig)
             for origin in _bits(mask)
         }
-        rds: dict[str, ReachingDefs] = {}
-        for sig in {key[0] for key in keys}:
-            cfg, entry = self.cfgs[sig], self.entry_facts.get(sig, {})
-            defs = {r: frozenset([ENTRY_DEF]) for r in {*cfg.method.param_registers(), *entry}}
-            rds[sig] = solve_blocks(cfg, defs, _define)
+        # a call's extra argument words seed registers below the parameters
+        queries = {
+            sig: definition_query(self.cfgs[sig], self.entry_facts.get(sig, {}))
+            for sig in {key[0] for key in keys}
+        }
 
         def live(sig: str, reg: int, index: int, origin: int) -> list[FactKey]:
             """The facts of (register, origin) reaching an instruction."""
-            defs = rds[sig][index].get(reg, ()) if sig in rds else ()
+            defs = queries[sig](index, reg) if sig in queries else ()
             return [key for d in defs if (key := (sig, reg, d, origin)) in keys]
 
         chains: dict[FactKey, tuple[Step, ...]] = {}
@@ -702,22 +669,24 @@ class TaintEngine:
             chains.update(layer)
             frontier = list(layer)
 
-        live_at: dict[tuple[str, int, int], list[int]] = {}
-        read_at: dict[tuple[str, int, int], list[int]] = {}
-        for sig, rd in rds.items() if exact else ():
-            instructions = self.cfgs.methods[sig].instructions
-            for i, state in enumerate(rd):
-                reads = read_registers(instructions[i])
-                for reg, defs in state.items():
+        # (method, register, definition) -> (the last point it reaches, the points reading it)
+        reach: dict[tuple[str, int, int], tuple[int, tuple[int, ...]]] = {}
+        for sig, reg in {key[:2] for key in chains} if exact else ():
+            cfg, points = self.cfgs[sig], {}
+            for block in cfg.blocks:  # each definition's points, in order
+                defs = queries[sig](block.start, reg)
+                for i in block:
                     for d in defs:
-                        live_at.setdefault((sig, reg, d), []).append(i)
-                        if reg in reads:
-                            read_at.setdefault((sig, reg, d), []).append(i)
+                        points.setdefault(d, []).append(i)
+                    if cfg.writes[i] == reg:
+                        defs = (i,)
+            code = cfg.method.instructions
+            for d, at in points.items():
+                reach[(sig, reg, d)] = (at[-1], tuple(i for i in at if reg in read_registers(code[i])))
         facts = set()
         for (sig, reg, d, origin), chain in chains.items():
             start = max(d, 0)
-            end = max(live_at.get((sig, reg, d), [start]))
-            uses = tuple(read_at.get((sig, reg, d), ()))
+            end, uses = reach.get((sig, reg, d), (start, ()))
             facts.add(TaintFact(sig, reg, (start, end), self.sources[origin], chain, uses))
         return frozenset(facts)
 

@@ -26,6 +26,7 @@ from devscan.rules import cluster_by_system_methods
 from devscan.taint import SourceKind, TaintEngine
 from tests.conftest import corpus_run
 from tests.test_graphs import _oracle_ipdoms
+from tests.test_taint import assert_fixpoint
 
 HEAVY_FIXTURES = {"budget_bomb"}
 
@@ -187,8 +188,9 @@ def test_c7_invariant_suite(device_db, rules):
     for fid in corpus_ids():
         run = corpus_run(fid)
         engine = TaintEngine(run.cfgs, run.call_graph, run.sources)
-        assert engine.solve().converged
-        assert engine.sweep_once() == 0, fid
+        result = engine.solve()
+        assert result.converged, fid
+        assert_fixpoint(engine, result)
 
     # region termination and arm disjointness
     all_snippets = []

@@ -246,6 +246,26 @@ def test_aggregate_empty_dir(tmp_path, capsys):
     assert main(["aggregate", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("kind", ["corpus", "array"])
+def test_aggregate_rejects_json_that_is_not_an_app_report(tmp_path, capsys, kind):
+    """An earlier run's --out, or any other JSON, in the report directory is
+    an input error that names the file, not an internal one."""
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"oppo\t{smali_root('oppo_perm')}\n", encoding="utf-8")
+    out_dir = tmp_path / "reports"
+    assert main(["batch", str(manifest), "--out-dir", str(out_dir)]) == 0
+    stray = out_dir / "corpus.json"
+    if kind == "corpus":
+        assert main(["aggregate", str(out_dir), "--out", str(stray)]) == 0
+    else:
+        stray.write_text("[1, 2]\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["aggregate", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert str(stray) in err and "not an app report" in err
+    assert "internal error" not in err
+
+
 def test_db_validate(capsys, tmp_path):
     db = tmp_path / "db.csv"
     db.write_text("brand,OPPO\nos,ColorOS\n", encoding="utf-8")

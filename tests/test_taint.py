@@ -1,4 +1,5 @@
 from collections import deque
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,7 @@ from devscan.taint import (
     definition_query,
     feeding_invoke,
     find_sources,
-    reaching_definitions,
+    solve_blocks,
 )
 from tests.conftest import corpus_run
 
@@ -238,6 +239,42 @@ def test_round_trip_return_is_caller_return():
     assert chains[1] == (Step.PARAM_IN, Step.CALLER_RETURN)
 
 
+def test_extra_argument_words_seed_registers_below_the_parameters():
+    """invoke-virtual passes two words to a static method of one parameter,
+    so the call seeds v1 as well as p0 (v2): v1's value is live on entry,
+    reaches the move and is read there."""
+    src = """
+.class public Lt/Wide;
+.super Ljava/lang/Object;
+.method public static m(Ljava/lang/String;)V
+    .registers 3
+    move-object v0, v1
+    const-string v1, "huawei"
+    invoke-virtual {v0, v1}, Ljava/lang/String;->equals(Ljava/lang/Object;)Z
+    invoke-virtual {v2, v1}, Ljava/lang/String;->equals(Ljava/lang/Object;)Z
+    return-void
+.end method
+.method public static f()V
+    .registers 2
+    sget-object v0, Landroid/os/Build;->BRAND:Ljava/lang/String;
+    sget-object v1, Landroid/os/Build;->MODEL:Ljava/lang/String;
+    invoke-virtual {v0, v1}, Lt/Wide;->m(Ljava/lang/String;)V
+    return-void
+.end method
+"""
+    facts = engine_facts(program_of(src))
+    in_m = {
+        (f.register, f.valid_range, f.origin.detail, f.chain, f.uses)
+        for f in facts
+        if f.method == "Lt/Wide;->m(Ljava/lang/String;)V"
+    }
+    assert in_m == {
+        (0, (0, 4), "BRAND", (Step.PARAM_IN, Step.MOVE), (2,)),
+        (1, (0, 1), "BRAND", (Step.PARAM_IN,), (0,)),
+        (2, (0, 4), "MODEL", (Step.PARAM_IN,), (3,)),
+    }
+
+
 def test_fact_chains_well_formed(all_fixture_ids):
     """Each fact's chain ends in the step its defining instruction implies."""
     returns = {Step.LIB_RETURN, Step.CALLEE_RETURN, Step.CALLER_RETURN}
@@ -309,7 +346,7 @@ def test_fixpoint_idempotent(all_fixture_ids):
             assert sig not in fact_methods, (fid, sig)
             skipped += 1
         assert result.iterations == SEEDED_PASSES.get(fid, result.iterations), fid
-        assert engine.sweep_once() == 0, fid
+        assert_fixpoint(engine, result)
     assert skipped > 0
 
 
@@ -321,9 +358,30 @@ def test_deterministic_results():
 
 
 def test_iteration_budget_flags_partial():
+    """A deadline passing before, between or inside body solves flags the
+    result partial."""
     run = corpus_run("interproc_ret")
-    result = TaintEngine(run.cfgs, run.call_graph, run.sources, max_method_passes=1).solve()
-    assert not result.converged
+    cuts = list(cut_solves(run.cfgs, run.call_graph, run.sources))
+    assert not any(result.converged for result in cuts)
+    assert {result.iterations for result in cuts} == {0, 1, 2, 3}
+
+
+def test_deadline_cut_never_reads_converged(all_fixture_ids):
+    """Wherever the deadline cuts the solve, what it has found is already
+    true, and a result that reads converged is the whole solution."""
+    cut = 0
+    for fid in all_fixture_ids:
+        if fid == "budget_bomb":
+            continue
+        run = corpus_run(fid)
+        full = run.taint.per_point()
+        full_keys = {(f.method, f.register, f.valid_range[0], f.origin) for f in run.taint.facts}
+        for result in cut_solves(run.cfgs, run.call_graph, run.sources):
+            assert_partial(result, full)
+            keys = {(f.method, f.register, f.valid_range[0], f.origin) for f in result.facts}
+            assert keys <= full_keys, fid
+            cut += 1
+    assert cut > 100
 
 
 def test_facts_report_uses():
@@ -412,6 +470,11 @@ def dense_taint_transfer(engine, sig):
     return transfer
 
 
+def define(ins, state):
+    """The set-valued transfer: a write defines its own site."""
+    return frozenset([ins.index])
+
+
 class RePassReference:
     """The engine's fixpoint as it was before bodies were solved once: a
     method is re-solved with dense_solve whenever its entry masks or a
@@ -468,6 +531,53 @@ class RePassReference:
         }
 
 
+def assert_fixpoint(engine, result):
+    """One more dense pass over every method, solved or not, from the
+    engine's summaries and entry masks changes none of them and finds the
+    engine's per-point taint."""
+    reference = RePassReference(engine.cfgs, engine.call_graph, engine.sources)
+    reference.summaries = dict(engine.summaries)
+    reference.entry_facts = {sig: dict(regs) for sig, regs in engine.entry_facts.items()}
+    for sig in sorted(engine.cfgs):
+        assert reference._apply_pass(sig) == [], sig
+    assert reference.per_point() == result.per_point()
+
+
+class CutClock:
+    """time.monotonic passing a deadline of 0.5 at its nth reading."""
+
+    def __init__(self, n):
+        self.n, self.readings = n, 0
+
+    def __call__(self):
+        self.readings += 1
+        return 0.0 if self.readings < self.n else 1.0
+
+
+def cut_solves(cfgs, call_graph, sources):
+    """The solve with its deadline passing at each clock reading in turn,
+    up to the last reading an uncut solve takes."""
+    n = 1
+    while True:
+        clock = CutClock(n)
+        with mock.patch("devscan.taint.time.monotonic", clock):
+            result = TaintEngine(cfgs, call_graph, sources, deadline=0.5).solve()
+        if clock.readings < n:  # it finished before the cut
+            return
+        yield result
+        n += 1
+
+
+def assert_partial(result, full):
+    """Every point of a cut solve is a subset of the full solve's, and a
+    cut solve reading converged found all of it."""
+    points = result.per_point()
+    assert not result.converged or points == full
+    for sig, regs_at in points.items():
+        for i, regs in regs_at.items():
+            assert regs <= full[sig][i], (sig, i)
+
+
 METHODS = 3
 LABELS = 3
 REGS = 3  # v0..v2 are locals, and v3 is p0
@@ -509,17 +619,17 @@ def _random_programs(draw):
     return program_of("\n".join(lines))
 
 
-@given(_random_programs(), st.integers(min_value=1, max_value=6))
+@given(_random_programs())
 @settings(max_examples=200, deadline=None)
-def test_solver_matches_dense_reference(program, cap):
+def test_solver_matches_dense_reference(program):
     # every state is read only after the whole solve, so a write leaking
     # into a state an earlier point shares shows as a difference
     for method in program.methods():
         cfg = build_cfg(method)
         entry = {r: frozenset([ENTRY_DEF]) for r in method.param_registers()}
-        assert [dict(s) for s in reaching_definitions(method, cfg)] == dense_solve(
-            cfg, entry, dense_define
-        )
+        points, finished = solve_blocks(cfg, entry, define)
+        assert finished
+        assert [dict(s) for s in points] == dense_solve(cfg, entry, dense_define)
 
     cfgs, call_graph = build_cfgs(program), build_call_graph(program)
     sources = find_sources(program, cfgs)
@@ -534,22 +644,25 @@ def test_solver_matches_dense_reference(program, cap):
     assert engine.solutions.keys() == reference.solutions.keys()
     assert result.iterations == len(engine.solutions)
 
-    # a capped solve stops at the first body beyond the cap, and what it
-    # has found by then is already true
-    capped = TaintEngine(cfgs, call_graph, sources, cap).solve()
-    assert capped.converged == (len(reference.solutions) <= cap)
-    for sig, points in capped.per_point().items():
-        for i, regs in points.items():
-            assert regs <= expected[sig][i]
+    # a solve the deadline cuts has found only what is true
+    for cut in cut_solves(cfgs, call_graph, sources):
+        assert_partial(cut, expected)
 
 
-@given(_random_programs(), st.randoms(use_true_random=False))
+@given(
+    _random_programs(),
+    st.randoms(use_true_random=False),
+    st.sets(st.integers(min_value=0, max_value=REGS)),
+)
 @settings(max_examples=200, deadline=None)
-def test_definition_query_matches_reaching_definitions(program, rng):
+def test_definition_query_matches_reaching_definitions(program, rng, entry):
+    # a call with more argument words than parameters seeds registers
+    # below the parameters, which are live on entry too
     for method in program.methods():
         cfg = build_cfg(method)
-        rd = reaching_definitions(method, cfg)
-        query = definition_query(cfg)
+        live = {r: frozenset([ENTRY_DEF]) for r in {*method.param_registers(), *entry}}
+        rd = dense_solve(cfg, live, dense_define)
+        query = definition_query(cfg, entry)
         # ask in a random order, so memoised answers feed later walks
         asked = [(i, r) for i in range(len(method.instructions)) for r in range(REGS + 2)]
         rng.shuffle(asked)
@@ -590,4 +703,4 @@ def test_call_ring_solves_each_body_once():
     reference.solve()
     assert reference.iterations > n
     assert result.per_point() == reference.per_point()
-    assert engine.sweep_once() == 0
+    assert_fixpoint(engine, result)

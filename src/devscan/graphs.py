@@ -188,9 +188,6 @@ class CallGraph:
             self._out.setdefault(e.caller, {}).setdefault(e.call_index, e)
             self._in.setdefault(e.callee, []).append(e)
 
-    def edges_from(self, signature: str) -> list[CallEdge]:
-        return list(self._out.get(signature, {}).values())
-
     def edge_at(self, caller: str, call_index: int) -> CallEdge | None:
         """The edge of the invoke at `call_index` in `caller`, if any."""
         return self._out.get(caller, {}).get(call_index)

@@ -3,7 +3,8 @@
 The instruction set is a deliberate subset of Dalvik: string constants,
 register moves, invokes, move-result, returns, equality branches, goto,
 object field reads, new-instance and nop. Everything else is lowered to
-``nop`` by the frontend.
+``nop`` by the frontend. :data:`SHAPES` gives each opcode's operands, and
+the decoder, the printer, the validator and the register helpers read it.
 """
 
 from __future__ import annotations
@@ -48,39 +49,51 @@ INVOKE_OPCODES = frozenset({
 })
 IF_OPCODES = frozenset({Opcode.IF_EQZ, Opcode.IF_NEZ, Opcode.IF_EQ, Opcode.IF_NE})
 RETURN_OPCODES = frozenset({Opcode.RETURN_VOID, Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE})
-_WRITES_FIRST_OPERAND = frozenset({
-    Opcode.CONST_STRING, Opcode.MOVE, Opcode.MOVE_RESULT,
-    Opcode.SGET_OBJECT, Opcode.IGET_OBJECT, Opcode.NEW_INSTANCE,
-})
 
-# opcode -> (register slot count or None for variadic, required attachment)
-# attachment is exactly one of literal / field_ref / method_ref / type_ref /
-# branch_target, or None.
-_OPERAND_SPECS: dict[Opcode, tuple[int | None, str | None]] = {
-    Opcode.CONST_STRING: (1, "literal"),
-    Opcode.MOVE: (2, None),
-    Opcode.INVOKE_VIRTUAL: (None, "method_ref"),
-    Opcode.INVOKE_STATIC: (None, "method_ref"),
-    Opcode.INVOKE_DIRECT: (None, "method_ref"),
-    Opcode.INVOKE_INTERFACE: (None, "method_ref"),
-    Opcode.MOVE_RESULT: (1, None),
-    Opcode.RETURN_VOID: (0, None),
-    Opcode.RETURN_OBJECT: (1, None),
-    Opcode.RETURN_VALUE: (1, None),
-    Opcode.IF_EQZ: (1, "branch_target"),
-    Opcode.IF_NEZ: (1, "branch_target"),
-    Opcode.IF_EQ: (2, "branch_target"),
-    Opcode.IF_NE: (2, "branch_target"),
-    Opcode.GOTO: (0, "branch_target"),
-    Opcode.SGET_OBJECT: (1, "field_ref"),
-    Opcode.IGET_OBJECT: (2, "field_ref"),
-    Opcode.NEW_INSTANCE: (1, "type_ref"),
-    Opcode.NOP: (0, None),
+
+class Shape(NamedTuple):
+    """What every instruction of one opcode holds and does.
+
+    ``registers`` is the number of register operands, or None for an
+    invoke's register list; ``attachment`` is the one ``Instruction`` slot
+    besides them the opcode sets (``literal``, ``field_ref``,
+    ``method_ref``, ``type_ref`` or ``branch_target``), or None; ``writes``
+    says whether the first register is written; ``reads`` slices the
+    operands whose values are consumed.
+    """
+
+    registers: int | None
+    attachment: str | None
+    writes: bool
+    reads: slice
+
+
+_NONE, _ALL, _SECOND = slice(0, 0), slice(None), slice(1, 2)
+SHAPES: dict[Opcode, Shape] = {
+    Opcode.CONST_STRING: Shape(1, "literal", True, _NONE),
+    Opcode.MOVE: Shape(2, None, True, _SECOND),
+    Opcode.INVOKE_VIRTUAL: Shape(None, "method_ref", False, _ALL),
+    Opcode.INVOKE_STATIC: Shape(None, "method_ref", False, _ALL),
+    Opcode.INVOKE_DIRECT: Shape(None, "method_ref", False, _ALL),
+    Opcode.INVOKE_INTERFACE: Shape(None, "method_ref", False, _ALL),
+    Opcode.MOVE_RESULT: Shape(1, None, True, _NONE),
+    Opcode.RETURN_VOID: Shape(0, None, False, _NONE),
+    Opcode.RETURN_OBJECT: Shape(1, None, False, _ALL),
+    Opcode.RETURN_VALUE: Shape(1, None, False, _ALL),
+    Opcode.IF_EQZ: Shape(1, "branch_target", False, _ALL),
+    Opcode.IF_NEZ: Shape(1, "branch_target", False, _ALL),
+    Opcode.IF_EQ: Shape(2, "branch_target", False, _ALL),
+    Opcode.IF_NE: Shape(2, "branch_target", False, _ALL),
+    Opcode.GOTO: Shape(0, "branch_target", False, _NONE),
+    Opcode.SGET_OBJECT: Shape(1, "field_ref", True, _NONE),
+    Opcode.IGET_OBJECT: Shape(2, "field_ref", True, _SECOND),
+    Opcode.NEW_INSTANCE: Shape(1, "type_ref", True, _NONE),
+    Opcode.NOP: Shape(0, None, False, _NONE),
 }
 _SLOTS = ("literal", "field_ref", "method_ref", "type_ref", "branch_target")
 # opcode -> for each of _SLOTS, whether it must be set
 _SLOT_SHAPES = {
-    op: tuple(slot == needed for slot in _SLOTS) for op, (_, needed) in _OPERAND_SPECS.items()
+    op: tuple(slot == shape.attachment for slot in _SLOTS) for op, shape in SHAPES.items()
 }
 
 
@@ -128,7 +141,7 @@ class Instruction(NamedTuple):
 
 def validate_instruction(ins: Instruction) -> None:
     """Check that exactly the operand slots required by the opcode are set."""
-    regs, needed = _OPERAND_SPECS[ins.opcode]
+    regs, needed, _, _ = SHAPES[ins.opcode]
     # one comparison settles a valid instruction; the checks below word the error
     if (regs is None or len(ins.operands) == regs) and _SLOT_SHAPES[ins.opcode] == (
         ins.literal is not None,
@@ -154,19 +167,12 @@ def validate_instruction(ins: Instruction) -> None:
 
 def written_register(ins: Instruction) -> int | None:
     """Register defined by the instruction, if any."""
-    return ins.operands[0] if ins.opcode in _WRITES_FIRST_OPERAND else None
-
-
-_READS_EVERY_OPERAND = IF_OPCODES | INVOKE_OPCODES | {Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE}
+    return ins.operands[0] if SHAPES[ins.opcode].writes else None
 
 
 def read_registers(ins: Instruction) -> tuple[int, ...]:
     """Registers whose value the instruction consumes."""
-    if ins.opcode is Opcode.MOVE or ins.opcode is Opcode.IGET_OBJECT:
-        return (ins.operands[1],)
-    if ins.opcode in _READS_EVERY_OPERAND:
-        return ins.operands
-    return ()
+    return ins.operands[SHAPES[ins.opcode].reads]
 
 
 _TYPE = r"\[*(?:L[^;]+;|[ZBSCIJFD])"
@@ -265,10 +271,6 @@ class ClassDef:
     methods: tuple[MethodIR, ...]
     fields: tuple[tuple[str, str], ...] = ()
 
-    @property
-    def source_package(self) -> str:
-        return package_of(self.class_name)
-
     def validate(self) -> None:
         """Class-level checks; each method is checked by MethodIR.validate."""
         if not is_class_descriptor(self.class_name):
@@ -292,6 +294,3 @@ class Program:
     def methods(self):
         for cls in self.classes:
             yield from cls.methods
-
-    def instruction_count(self) -> int:
-        return sum(len(m.instructions) for m in self.methods())

@@ -62,25 +62,7 @@ class AppReport:
     diagnostics: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "app_id": self.app_id,
-            "market": self.market,
-            "analysis_status": self.analysis_status,
-            "failure_reason": self.failure_reason,
-            "wall_time_seconds": self.wall_time_seconds,
-            "packing": self.packing,
-            "source_counts": self.source_counts,
-            "guards": self.guards,
-            "snippets": self.snippets,
-            "brands": self.brands,
-            "oses": self.oses,
-            "models": self.models,
-            "functionalities": self.functionalities,
-            "source_attribution": self.source_attribution,
-            "taint_converged": self.taint_converged,
-            "diagnostics": self.diagnostics,
-        }
+        return {"schema_version": SCHEMA_VERSION, **vars(self)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AppReport":

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .ir import (
     INVOKE_OPCODES,
+    SHAPES,
     ClassDef,
     FieldRef,
     Instruction,
@@ -404,9 +405,6 @@ def _build(
         if "\\" in literal:
             literal = _unescape(literal, line_no)
         return _decoded(opcode, operands, literal=literal)
-    if opcode is Opcode.MOVE:
-        parts = _split_args(rest, 2, line_no)
-        return _decoded(opcode, (reg(parts[0]), reg(parts[1])))
     if opcode in INVOKE_OPCODES:
         m = _INVOKE_RE.match(rest)
         if not m:
@@ -422,49 +420,32 @@ def _build(
         except IRError as exc:
             raise SmaliSyntaxError(str(exc), line_no)
         return _decoded(opcode, regs, method_ref=MethodRef(*ref.groups()))
-    if opcode is Opcode.MOVE_RESULT:
-        return _decoded(opcode, (reg(rest),))
-    if opcode is Opcode.RETURN_VOID:
+
+    # every other opcode: its registers, then its attachment, comma-separated
+    n, attachment, _, _ = SHAPES[opcode]
+    count = n + (attachment is not None)
+    if count == 0:
         if rest:
-            raise SmaliSyntaxError("return-void takes no operands", line_no)
+            raise SmaliSyntaxError(f"{opcode.value} takes no operands", line_no)
         return _decoded(opcode)
-    if opcode is Opcode.RETURN_OBJECT or opcode is Opcode.RETURN_VALUE:
-        return _decoded(opcode, (reg(rest),))
-    if opcode is Opcode.IF_EQZ or opcode is Opcode.IF_NEZ:
-        parts = _split_args(rest, 2, line_no)
-        _label(parts[1], labels, line_no)
-        return _decoded(opcode, (reg(parts[0]),), label=parts[1])
-    if opcode is Opcode.IF_EQ or opcode is Opcode.IF_NE:
-        parts = _split_args(rest, 3, line_no)
-        _label(parts[2], labels, line_no)
-        return _decoded(opcode, (reg(parts[0]), reg(parts[1])), label=parts[2])
-    if opcode is Opcode.GOTO:
-        _label(rest, labels, line_no)
-        return _decoded(opcode, label=rest)
-    if opcode is Opcode.SGET_OBJECT:
-        parts = _split_args(rest, 2, line_no)
-        ref = _FIELD_REF_RE.match(parts[1])
+    parts = [p.strip() for p in rest.split(",")]
+    if len(parts) != count or not all(parts):
+        raise SmaliSyntaxError(f"expected {count} operands, got {rest!r}", line_no)
+    field_ref = type_ref = label = None
+    if attachment == "branch_target":
+        label = parts[n]
+        _label(label, labels, line_no)
+    elif attachment == "field_ref":
+        ref = _FIELD_REF_RE.match(parts[n])
         if not ref:
-            raise SmaliSyntaxError(f"malformed field reference {parts[1]!r}", line_no)
-        return _decoded(opcode, (reg(parts[0]),), field_ref=FieldRef(*ref.groups()))
-    if opcode is Opcode.IGET_OBJECT:
-        parts = _split_args(rest, 3, line_no)
-        ref = _FIELD_REF_RE.match(parts[2])
-        if not ref:
-            raise SmaliSyntaxError(f"malformed field reference {parts[2]!r}", line_no)
-        return _decoded(
-            opcode,
-            (reg(parts[0]), reg(parts[1])),
-            field_ref=FieldRef(*ref.groups()),
-        )
-    if opcode is Opcode.NEW_INSTANCE:
-        parts = _split_args(rest, 2, line_no)
-        if not _CLASS_RE.match(parts[1]):
-            raise SmaliSyntaxError(f"bad type {parts[1]!r}", line_no)
-        return _decoded(opcode, (reg(parts[0]),), type_ref=parts[1])
-    if opcode is Opcode.NOP:
-        return _decoded(opcode)
-    raise SmaliSyntaxError(f"unhandled opcode {mnemonic}", line_no)
+            raise SmaliSyntaxError(f"malformed field reference {parts[n]!r}", line_no)
+        field_ref = FieldRef(*ref.groups())
+    elif attachment == "type_ref":
+        if not _CLASS_RE.match(parts[n]):
+            raise SmaliSyntaxError(f"bad type {parts[n]!r}", line_no)
+        type_ref = parts[n]
+    operands = tuple([reg(p) for p in parts[:n]])
+    return _decoded(opcode, operands, field_ref=field_ref, type_ref=type_ref, label=label)
 
 
 def _invoke_regs(inner: str, reg: Callable[[str], int], line_no: int) -> tuple[int, ...]:
@@ -486,13 +467,6 @@ def _label(token: str, labels: dict[str, int], line_no: int) -> int:
     if token not in labels:
         raise SmaliSyntaxError(f"unknown label {token}", line_no)
     return labels[token]
-
-
-def _split_args(rest: str, n: int, line_no: int) -> list[str]:
-    parts = [p.strip() for p in rest.split(",")]
-    if len(parts) != n or any(not p for p in parts):
-        raise SmaliSyntaxError(f"expected {n} operands, got {rest!r}", line_no)
-    return parts
 
 
 def _parse_count(line: str, directive: str, line_no: int) -> int:
@@ -616,7 +590,13 @@ def _parse_class(text: str, memo: _DecodeMemo) -> ClassDef:
 
 
 def print_smali_class(cls: ClassDef) -> str:
-    """Emit canonical smali for a ClassDef; reparsing yields an equal class."""
+    """Emit canonical smali for a ClassDef; reparsing yields an equal class.
+
+    Each lowered line prints as the mnemonic ``lowered``, which the parser
+    lowers to ``nop`` and counts again, so ``lowered_count`` survives too;
+    this holds whenever a method has at least ``lowered_count`` nops, as
+    every parsed method has.
+    """
     out: list[str] = [f".class public {cls.class_name}", f".super {cls.super_name}", ""]
     for name, type_desc in cls.fields:
         out.append(f".field public {name}:{type_desc}")
@@ -637,53 +617,36 @@ def print_smali_class(cls: ClassDef) -> str:
                 for ins in method.instructions
                 if ins.branch_target is not None
             }
+            lowered = method.lowered_count
             for ins in method.instructions:
                 if ins.index in targets:
                     out.append(f"    :L{ins.index}")
-                out.append(f"    {_format_instruction(ins)}")
+                if lowered and ins.opcode is Opcode.NOP:
+                    # nops are all alike, so any of them may stand for the
+                    # lowered lines: a mnemonic outside the subset lowers again
+                    out.append("    lowered")
+                    lowered -= 1
+                else:
+                    out.append(f"    {_format_instruction(ins)}")
         out.append(".end method")
         out.append("")
     return "\n".join(out)
 
 
 def _format_instruction(ins: Instruction) -> str:
-    op = ins.opcode
-    regs = [f"v{r}" for r in ins.operands]
-    if op is Opcode.CONST_STRING:
-        return f'const-string {regs[0]}, "{_escape(ins.literal or "")}"'
-    if op is Opcode.MOVE:
-        return f"move-object {regs[0]}, {regs[1]}"
-    if op in INVOKE_OPCODES:
-        ref = ins.method_ref
-        assert ref is not None
-        return f"{op.value} {{{', '.join(regs)}}}, {ref.owner}->{ref.name}{ref.descriptor}"
-    if op is Opcode.MOVE_RESULT:
-        return f"move-result-object {regs[0]}"
-    if op is Opcode.RETURN_VOID:
-        return "return-void"
-    if op is Opcode.RETURN_OBJECT:
-        return f"return-object {regs[0]}"
-    if op is Opcode.RETURN_VALUE:
-        return f"return {regs[0]}"
-    if op in (Opcode.IF_EQZ, Opcode.IF_NEZ):
-        return f"{op.value} {regs[0]}, :L{ins.branch_target}"
-    if op in (Opcode.IF_EQ, Opcode.IF_NE):
-        return f"{op.value} {regs[0]}, {regs[1]}, :L{ins.branch_target}"
-    if op is Opcode.GOTO:
-        return f"goto :L{ins.branch_target}"
-    if op is Opcode.SGET_OBJECT:
-        ref = ins.field_ref
-        assert ref is not None
-        return f"sget-object {regs[0]}, {ref}"
-    if op is Opcode.IGET_OBJECT:
-        ref = ins.field_ref
-        assert ref is not None
-        return f"iget-object {regs[0]}, {regs[1]}, {ref}"
-    if op is Opcode.NEW_INSTANCE:
-        return f"new-instance {regs[0]}, {ins.type_ref}"
-    if op is Opcode.NOP:
-        return "nop"
-    raise IRError(f"unprintable opcode {op}")
+    """The opcode, then its registers and attachment, as :func:`_build` reads them."""
+    args = [f"v{r}" for r in ins.operands]
+    if ins.method_ref is not None:  # an invoke's registers are one braced list
+        args = ["{" + ", ".join(args) + "}", str(ins.method_ref)]
+    elif ins.literal is not None:
+        args.append(f'"{_escape(ins.literal)}"')
+    elif ins.branch_target is not None:
+        args.append(f":L{ins.branch_target}")
+    elif ins.field_ref is not None:
+        args.append(str(ins.field_ref))
+    elif ins.type_ref is not None:
+        args.append(ins.type_ref)
+    return f"{ins.opcode.value} {', '.join(args)}" if args else ins.opcode.value
 
 
 @dataclass(frozen=True)

@@ -157,16 +157,17 @@ def solve_blocks(
 
 
 # (index, register) -> the definition sites of the register reaching the
-# instruction, ENTRY_DEF for a value live on method entry
+# instruction, ENTRY_DEF where a path from method entry has no write
 DefinitionQuery = Callable[[int, int], frozenset[int]]
 
 
-def definition_query(cfg: CFG, entry: Iterable[int] = ()) -> DefinitionQuery:
+def definition_query(cfg: CFG) -> DefinitionQuery:
     """Reaching definitions one (index, register) at a time, by a memoised
     backward walk over the CFG tables that stops at the register's writes.
-    The parameters and the ``entry`` registers are live on method entry."""
+    A walk reaching method entry without a write yields ENTRY_DEF, whatever
+    the register: a caller that needs the value live on entry matches it
+    against what it knows holds there."""
     writes, blocks, block_of, pred = cfg.writes, cfg.blocks, cfg.block_of, cfg.pred
-    live_on_entry = frozenset((*cfg.method.param_registers(), *entry))
     memo: dict[tuple[int, int], frozenset[int]] = {}
 
     def last_write(register: int, span: range) -> int | None:
@@ -185,7 +186,7 @@ def definition_query(cfg: CFG, entry: Iterable[int] = ()) -> DefinitionQuery:
                 defs, seen, work = set(), {bid}, [bid]
                 while work:
                     b = work.pop()
-                    if b == 0 and register in live_on_entry:
+                    if b == 0:
                         defs.add(ENTRY_DEF)
                     for p in pred[b]:
                         if (d := last_write(register, blocks[p])) is not None:
@@ -630,11 +631,7 @@ class TaintEngine:
             for reg, d, mask in self._definitions(sig)
             for origin in _bits(mask)
         }
-        # a call's extra argument words seed registers below the parameters
-        queries = {
-            sig: definition_query(self.cfgs[sig], self.entry_facts.get(sig, {}))
-            for sig in {key[0] for key in keys}
-        }
+        queries = {sig: definition_query(self.cfgs[sig]) for sig in {key[0] for key in keys}}
 
         def live(sig: str, reg: int, index: int, origin: int) -> list[FactKey]:
             """The facts of (register, origin) reaching an instruction."""

@@ -99,7 +99,7 @@ def test_c4_oracle_equivalence_across_corpus():
     mismatches = []
     for fid in eligible:
         run = corpus_run(fid)
-        assert run.program.instruction_count() <= 300, fid
+        assert sum(len(m.instructions) for m in run.program.methods()) <= 300, fid
         trace = oracle_interpret(run.program, run.sources)
         for method in run.program.methods():
             if not method.has_body:

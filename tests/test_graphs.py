@@ -114,7 +114,7 @@ def test_fig2_call_edges_resolved():
     run = corpus_run("oppo_perm")
     caller = "Lcom/fixtures/oppo/PermissionPage;->startSettingPage(Landroid/content/Context;)V"
     resolved = {
-        e.callee for e in run.call_graph.edges_from(caller) if e.resolved
+        e.callee for e in run.call_graph.edges if e.caller == caller and e.resolved
     }
     assert resolved == {
         "Lcom/fixtures/oppo/PermissionPage;->getManufacturer()Ljava/lang/String;",
@@ -126,7 +126,7 @@ def test_library_callee_unresolved():
     run = corpus_run("oppo_perm")
     caller = "Lcom/fixtures/oppo/PermissionPage;->startSettingPage(Landroid/content/Context;)V"
     unresolved = {
-        e.callee for e in run.call_graph.edges_from(caller) if not e.resolved
+        e.callee for e in run.call_graph.edges if e.caller == caller and not e.resolved
     }
     assert "Ljava/lang/String;->toLowerCase()Ljava/lang/String;" in unresolved
 

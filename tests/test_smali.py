@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from devscan.ir import Instruction, IRError, MethodIR, Opcode, validate_instruction
+from devscan.ir import Instruction, IRError, MethodIR, Opcode, package_of, validate_instruction
 from devscan.smali import (
     ProgramLoadError,
     SmaliSyntaxError,
@@ -34,7 +34,7 @@ def test_single_const_string():
 
 def test_source_package():
     cls = parse_smali_class(SINGLE)
-    assert cls.source_package == "com.app"
+    assert package_of(cls.class_name) == "com.app"
 
 
 def test_abstract_method_has_no_instructions():
@@ -395,14 +395,17 @@ def _method_bodies(draw):
             ins = Instruction(index, Opcode.NOP)
         instructions.append(ins)
     instructions.append(Instruction(n, Opcode.RETURN_VOID))
-    return tuple(instructions)
+    # some of the nops stand for lines the parser lowered
+    nops = sum(ins.opcode is Opcode.NOP for ins in instructions)
+    return tuple(instructions), draw(st.integers(min_value=0, max_value=nops))
 
 
 @given(_method_bodies())
 @settings(max_examples=120, deadline=None)
-def test_print_parse_roundtrip(body):
+def test_print_parse_roundtrip(drawn):
     from devscan.ir import ClassDef
 
+    body, lowered = drawn
     method = MethodIR(
         owner="Lcom/app/Rt;",
         name="f",
@@ -410,6 +413,7 @@ def test_print_parse_roundtrip(body):
         registers=4,
         instructions=body,
         is_static=True,
+        lowered_count=lowered,
     )
     method.validate()
     cls = ClassDef(
@@ -420,6 +424,60 @@ def test_print_parse_roundtrip(body):
     reparsed = parse_smali_class(print_smali_class(cls))
     assert reparsed.methods[0].instructions == body
     assert reparsed.methods[0].registers == 4
+    assert reparsed == cls
+
+
+def test_lowered_lines_survive_print_and_parse():
+    cls = parse_smali_class(
+        _HEAD + _method("const/4 v0, 0x1", "nop", "add-int/lit8 v1, v0, 0x2", "return-void")
+    )
+    assert cls.methods[0].lowered_count == 2
+    again = parse_smali_class(print_smali_class(cls))
+    assert again.methods[0].lowered_count == 2
+    assert again == cls
+
+
+def _one_of_each_shape(op):
+    """An instruction of ``op`` setting every slot its row asks for."""
+    from devscan.ir import SHAPES, FieldRef, MethodRef
+
+    registers, attachment, _, _ = SHAPES[op]
+    sample = {
+        "literal": 'a "quoted"\nline',
+        "field_ref": FieldRef("Landroid/os/Build;", "BRAND", "Ljava/lang/String;"),
+        "method_ref": MethodRef("Lcom/app/K;", "g", "(Ljava/lang/String;I)V"),
+        "type_ref": "Lcom/app/Thing;",
+        "branch_target": 0,
+    }
+    operands = tuple(range(2 if registers is None else registers))
+    return Instruction(0, op, operands, **({attachment: sample[attachment]} if attachment else {}))
+
+
+def test_every_opcode_has_one_shape():
+    from devscan.ir import SHAPES
+
+    assert SHAPES.keys() == set(Opcode)
+
+
+@pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.value)
+def test_each_opcode_decodes_prints_and_decodes_back(op):
+    from devscan.ir import ClassDef
+
+    ins = _one_of_each_shape(op)
+    validate_instruction(ins)
+    method = MethodIR(
+        owner="Lcom/app/K;",
+        name="f",
+        descriptor="()V",
+        registers=3,
+        instructions=(ins, Instruction(1, Opcode.RETURN_VOID)),
+        is_static=True,
+    )
+    cls = ClassDef("Lcom/app/K;", "Ljava/lang/Object;", (method,))
+    text = print_smali_class(cls)
+    decoded = parse_smali_class(text)
+    assert decoded == cls
+    assert print_smali_class(decoded) == text
 
 
 def test_two_register_ifs():
@@ -556,6 +614,13 @@ SYNTAX_ERRORS = {
         _HEAD + _method("return-void", ":end"), 7, "label :end has no following instruction"),
     "return-void with operands": (
         _HEAD + _method("return-void v0"), 5, "return-void takes no operands"),
+    "nop with operands": (
+        _HEAD + _method("nop v0", "return-void"), 5, "nop takes no operands"),
+    "one register, two operands": (
+        _HEAD + _method("move-result v0, v1", "return-void"), 5,
+        "expected 1 operands, got 'v0, v1'"),
+    "one label, two operands": (
+        _HEAD + _method(":a", "goto :a, :b"), 6, "expected 1 operands, got ':a, :b'"),
     "unrecognized opcode": (
         _HEAD + _method("Frob v0", "return-void"), 5, "unrecognized opcode 'Frob'"),
     "bad type": (

@@ -60,6 +60,13 @@ _COMPARISON_NAMES = {
     "compareTo": ComparisonKind.COMPARE_TO,
 }
 _STRINGY_OWNERS = {"Ljava/lang/String;", "Ljava/lang/CharSequence;"}
+# static equality helpers; their first argument stands for the receiver.
+# Kotlin's StringsKt.equals(a, b, ignoreCase) is left out: its flag is a
+# lowered const/4, so equals and equalsIgnoreCase cannot be told apart.
+_EQUALS_HELPERS = {
+    ("Landroid/text/TextUtils;", "equals"),
+    ("Lkotlin/jvm/internal/Intrinsics;", "areEqual"),
+}
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,8 @@ def _comparison_invoke(method: MethodIR, index: int) -> tuple[ComparisonKind, In
     if ins.opcode not in INVOKE_OPCODES or ins.method_ref is None:
         return None
     ref = ins.method_ref
+    if (ref.owner, ref.name) in _EQUALS_HELPERS:
+        return ComparisonKind.STRING_EQUALS, ins
     kind = _COMPARISON_NAMES.get(ref.name)
     if kind is None or ref.owner not in _STRINGY_OWNERS:
         return None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import time
 from dataclasses import dataclass, field
@@ -125,6 +127,24 @@ def _snippet_dict(snippet: BehaviorSnippet, categories: list[str]) -> dict:
     return data
 
 
+def _collector_paused(analysis):
+    """Run ``analysis`` with the cyclic garbage collector disabled, then
+    re-enable it only if it was enabled before."""
+
+    @functools.wraps(analysis)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return analysis(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def analyze_app(
     smali_root: str | Path,
     apk: str | Path | None = None,
@@ -141,6 +161,13 @@ def analyze_app(
     Packed apps are filtered out before any code analysis. The wall-clock
     budget is enforced inside the taint fixpoint; on exhaustion the report
     carries partial results with status partial_timeout.
+
+    The analysis builds no reference cycles, so reference counting frees
+    all of its garbage: the process-wide cyclic collector is paused for
+    the duration of the call and restored afterwards, also when a stage
+    raises. ``on_taint`` runs inside that pause, and another thread
+    running meanwhile goes without cycle collection until the call
+    returns.
     """
     budgets = budgets or Budgets()
     db = db or default_device_db()

@@ -166,7 +166,9 @@ def definition_query(cfg: CFG) -> DefinitionQuery:
     backward walk over the CFG tables that stops at the register's writes.
     A walk reaching method entry without a write yields ENTRY_DEF, whatever
     the register: a caller that needs the value live on entry matches it
-    against what it knows holds there."""
+    against what it knows holds there. A query below a block's start
+    reads or fills the start's entry itself, so the query never calls
+    itself and leaves no reference cycle behind."""
     writes, blocks, block_of, pred = cfg.writes, cfg.blocks, cfg.block_of, cfg.pred
     memo: dict[tuple[int, int], frozenset[int]] = {}
 
@@ -180,9 +182,8 @@ def definition_query(cfg: CFG) -> DefinitionQuery:
             start = blocks[bid].start
             if (d := last_write(register, range(start, index))) is not None:
                 found = frozenset((d,))
-            elif index > start:
-                found = query(start, register)
-            else:  # the writes ending blocks that reach this one without a write
+            elif (found := memo.get((start, register))) is None:
+                # the writes ending blocks that reach this one without a write
                 defs, seen, work = set(), {bid}, [bid]
                 while work:
                     b = work.pop()
@@ -194,7 +195,7 @@ def definition_query(cfg: CFG) -> DefinitionQuery:
                         elif p not in seen:
                             seen.add(p)
                             work.append(p)
-                found = frozenset(defs)
+                found = memo[(start, register)] = frozenset(defs)
             memo[(index, register)] = found
         return found
 

@@ -75,6 +75,18 @@ def test_comparison_kinds_recorded():
     assert kinds["ordered()V"] is ComparisonKind.COMPARE_TO
 
 
+def test_equality_helpers_compare_strings():
+    """TextUtils.equals and Intrinsics.areEqual compare strings; their first
+    argument stands for the receiver."""
+    _, sites = guard_sites_of("helper_equals")
+    got = {s.method.split(";->")[1]: (s.comparison, s.tainted_operand_side) for s in sites}
+    assert got == {
+        "textUtils()V": (ComparisonKind.STRING_EQUALS, OperandSide.RECEIVER),
+        "kotlin()V": (ComparisonKind.STRING_EQUALS, OperandSide.RECEIVER),
+        "literalFirst()V": (ComparisonKind.STRING_EQUALS, OperandSide.ARGUMENT),
+    }
+
+
 def test_sites_without_identifiers_stay_sites(device_db):
     run, sites = guard_sites_of("loop_moves")
     assert len(sites) == 1  # tainted null-ish check

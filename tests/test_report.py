@@ -1,9 +1,13 @@
+import gc
+import importlib.util
 import json
 import zipfile
+from pathlib import Path
 
 import pytest
 
-from devscan.fixtures import corpus_root
+import devscan.report
+from devscan.fixtures import corpus_root, list_fixture_ids, load_fixture
 from devscan.report import (
     AppReport,
     Budgets,
@@ -98,6 +102,130 @@ def test_budget_exhaustion_partial(device_db, rules):
     # partial report still well-formed
     data = report.to_json_dict()
     assert AppReport.from_json_dict(json.loads(canonical_json(data))).app_id == report.app_id
+
+
+def _call_web(seed, out):
+    """Write the benchmark's call_web app for ``seed`` under ``out``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen_call_web.py"
+    spec = importlib.util.spec_from_file_location("gen_call_web", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.generate(seed, out)
+    return out / "smali"
+
+
+GOOD_CLASS = """\
+.class public Lt/Good;
+.super Ljava/lang/Object;
+.method public static f()V
+    .registers 3
+    sget-object v0, Landroid/os/Build;->BRAND:Ljava/lang/String;
+    const-string v1, "huawei"
+    invoke-virtual {v0, v1}, Ljava/lang/String;->equals(Ljava/lang/Object;)Z
+    move-result v2
+    if-eqz v2, :skip
+    nop
+    :skip
+    return-void
+.end method
+"""
+BAD_CLASS = """\
+.class public Lt/Bad;
+.super Ljava/lang/Object;
+.method public static f()V
+    .registers 1
+    goto :nowhere
+.end method
+"""
+
+
+def test_analysis_leaves_no_cyclic_garbage(tmp_path, device_db, rules):
+    """Reference counting frees everything an analysis allocates, which is
+    what lets analyze_app pause the cyclic collector: with every unreachable
+    object saved, a collection after the runs finds none."""
+    runs = [
+        (smali_root(fid), {"budgets": Budgets(wall_clock_seconds=0.3)} if fid == "budget_bomb" else {})
+        for fid in list_fixture_ids()
+    ]
+    read = []
+
+    def on_taint(taint):
+        read.append((len(taint.facts), len(taint.per_point())))
+
+    runs.append((_call_web(7, tmp_path / "call_web"), {"on_taint": on_taint}))
+    for name, classes in (("drops", (GOOD_CLASS, BAD_CLASS)), ("none_load", (BAD_CLASS,))):
+        (tmp_path / name).mkdir()
+        for i, text in enumerate(classes):
+            (tmp_path / name / f"C{i}.smali").write_text(text, encoding="utf-8")
+        runs.append((tmp_path / name, {}))
+    runs.append((smali_root("packed_app"), {"apk": fixture_apk(tmp_path, "packed_app")}))
+
+    flags, saved, enabled = gc.get_debug(), list(gc.garbage), gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        reports = [analyze_app(root, db=device_db, rules=rules, **kw) for root, kw in runs]
+        assert gc.collect() == 0
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved
+        if enabled:
+            gc.enable()
+    statuses = [r.analysis_status for r in reports]
+    assert statuses[-4:] == [Status.OK, Status.OK, Status.FAILED, Status.FAILED]
+    assert reports[-3].diagnostics and reports[-1].failure_reason == "packed"
+    assert read and read[0][0] > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_analyze_app_restores_the_collector(monkeypatch, device_db, rules, enabled):
+    """The collector is paused while the stages run and left as it was
+    found, also when a stage raises."""
+    during = []
+
+    def failing_call_graph(program):
+        during.append(gc.isenabled())
+        raise RuntimeError("stage failed")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        analyze_app(smali_root("oppo_perm"), db=device_db, rules=rules)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(devscan.report, "build_call_graph", failing_call_graph)
+        with pytest.raises(RuntimeError, match="stage failed"):
+            analyze_app(smali_root("oppo_perm"), db=device_db, rules=rules)
+        assert gc.isenabled() is enabled
+        assert during == [False]
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_reports_match_fixture_annotations(device_db, rules):
+    """Each annotated guard's comparison kind and identifiers, and each
+    annotated snippet's categories, arm and reachable methods, where the
+    manifest gives them, are what the report says."""
+    for fid in list_fixture_ids():
+        if fid == "budget_bomb":
+            continue
+        manifest = load_fixture(fid).manifest
+        report = analyze_app(smali_root(fid), db=device_db, rules=rules)
+        snippets = {(s["guard"]["method"], s["guard"]["index"]): s for s in report.snippets}
+        for guard in manifest.expected_guards:
+            snippet = snippets[(guard["method"], guard["index"])]
+            identifiers: dict[str, list[str]] = {}
+            for m in snippet["identifiers"]:
+                identifiers.setdefault(m["kind"], []).append(m["db_entry"])
+            got = {"comparison": snippet["guard"]["comparison"], "identifiers": identifiers}
+            for key in guard.keys() & got.keys():
+                assert got[key] == guard[key], (fid, guard["method"], key)
+        for want in manifest.expected_snippets:
+            snippet = snippets[(want["guard_method"], want["guard_index"])]
+            for key in ("categories", "matched_arm", "reachable_methods"):
+                if key in want:
+                    expected = sorted(want[key]) if key == "reachable_methods" else want[key]
+                    assert snippet[key] == expected, (fid, want["guard_method"], key)
 
 
 # -- source attribution --------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .devicedb import DeviceInfoDB, IdentifierMatch, match_identifier
-from .graphs import CFG, CallGraph, CFGMap, immediate_postdominators
+from .graphs import CFG, ENTRY_DEF, CallGraph, CFGMap, immediate_postdominators
 from .ir import (
     IF_OPCODES,
     INVOKE_OPCODES,
@@ -18,15 +18,7 @@ from .ir import (
     descriptor_to_dotted,
     package_of,
 )
-from .taint import (
-    ENTRY_DEF,
-    DefinitionQuery,
-    TaintResult,
-    def_closure,
-    definition_query,
-    feeding_invoke,
-    reaching_const_strings,
-)
+from .taint import TaintResult, def_closure, reaching_const_strings
 
 
 class ComparisonKind(str, Enum):
@@ -176,13 +168,12 @@ def _may_hold_sites(taint: TaintResult, sig: str, cfg: CFG) -> bool:
     )
 
 
-def find_guard_sites(taint: TaintResult, cfg: CFG, defs_at: DefinitionQuery) -> list[GuardSite]:
+def find_guard_sites(taint: TaintResult, cfg: CFG) -> list[GuardSite]:
     """Branches of one method whose condition depends on device information.
 
     A site is either an if on a register holding the boolean of a string
     comparison with a tainted operand, or an if directly on a tainted
     register (reference_eq). The comparison form wins when both apply.
-    ``defs_at`` answers the method's reaching-definition queries.
     """
     method = cfg.method
     sig = method.signature
@@ -193,11 +184,9 @@ def find_guard_sites(taint: TaintResult, cfg: CFG, defs_at: DefinitionQuery) -> 
         site = None
         tainted_here = taint.tainted_registers(sig, ins.index)
         for reg in ins.operands:
-            defs = def_closure(method, defs_at, ins.index, reg)
+            defs = def_closure(cfg, ins.index, reg)
             for d in sorted(x for x in defs if x >= 0):
-                if method.instructions[d].opcode is not Opcode.MOVE_RESULT:
-                    continue
-                invoke_index = feeding_invoke(method, d)
+                invoke_index = cfg.paired[d]  # a definition paired is a move-result
                 if invoke_index is None:
                     continue
                 cmp = _comparison_invoke(method, invoke_index)
@@ -235,14 +224,13 @@ def find_guard_sites(taint: TaintResult, cfg: CFG, defs_at: DefinitionQuery) -> 
     return sites
 
 
-def collect_guard_strings(site: GuardSite, cfg: CFG, defs_at: DefinitionQuery) -> list[str]:
+def collect_guard_strings(site: GuardSite, cfg: CFG) -> list[str]:
     """Const-strings semantically tied to the guard's condition.
 
     Collects literals flowing into the comparison call's operands, plus
     every literal defined in the site's basic block or in any block holding
-    a definition on the chain feeding the condition register. ``defs_at``
-    answers the method's reaching-definition queries. Every literal comes
-    from a const-string, so a method without one yields none.
+    a definition on the chain feeding the condition register. Every literal
+    comes from a const-string, so a method without one yields none.
     """
     if not cfg.has_const_string:
         return []
@@ -265,7 +253,7 @@ def collect_guard_strings(site: GuardSite, cfg: CFG, defs_at: DefinitionQuery) -
             if (i, r) in visited:
                 continue
             visited.add((i, r))
-            for d in defs_at(i, r):
+            for d in cfg.defs(i, r):
                 if d == ENTRY_DEF or d in chain_defs:
                     continue
                 chain_defs.add(d)
@@ -273,7 +261,7 @@ def collect_guard_strings(site: GuardSite, cfg: CFG, defs_at: DefinitionQuery) -
                 if ins.opcode is Opcode.MOVE:
                     work.append((d, ins.operands[1]))
                 elif ins.opcode is Opcode.MOVE_RESULT:
-                    inv = feeding_invoke(method, d)
+                    inv = cfg.paired[d]
                     if inv is not None:
                         chain_defs.add(inv)
                         for arg in method.instructions[inv].operands:
@@ -282,7 +270,7 @@ def collect_guard_strings(site: GuardSite, cfg: CFG, defs_at: DefinitionQuery) -
     if site.comparison_call is not None:
         invoke = method.instructions[site.comparison_call]
         for arg in invoke.operands:
-            for lit in reaching_const_strings(method, defs_at, invoke.index, arg):
+            for lit in reaching_const_strings(cfg, invoke.index, arg):
                 add(lit)
             follow(invoke.index, arg)
     follow(site.branch_instruction, site.condition_register)
@@ -346,7 +334,6 @@ def extract_region(
     guard: DeviceGuard,
     cfgs: CFGMap,
     call_graph: CallGraph,
-    max_methods: int | None = None,
 ) -> BehaviorSnippet:
     """Extract both branch arms plus transitively reachable callees.
 
@@ -354,9 +341,7 @@ def extract_region(
     passing the condition block's immediate postdominator; blocks shared by
     both arms are treated as common continuation and dropped from each.
     Called methods with bodies, those in ``cfgs.methods``, are followed to a
-    fixpoint; unresolved callees accumulate as system methods. The walk is
-    unbounded unless ``max_methods`` caps it; a capped walk marks the
-    snippet truncated.
+    fixpoint; unresolved callees accumulate as system methods.
     """
     site = guard.site
     cfg = cfgs[site.method]
@@ -387,7 +372,6 @@ def extract_region(
     for b in sorted(taken | fallthrough):
         region_instructions.extend(cfg.instructions_of(b))
 
-    truncated = False
     reachable: set[str] = set()
     system: set[str] = set()
     literals: list[str] = []
@@ -419,9 +403,6 @@ def extract_region(
         callee = work.popleft()
         if callee in reachable:
             continue
-        if max_methods is not None and len(reachable) >= max_methods:
-            truncated = True
-            break
         reachable.add(callee)
         if callee in cfgs.methods:
             work.extend(scan(cfgs.methods[callee].instructions, callee))
@@ -437,7 +418,6 @@ def extract_region(
         invoked_system_methods=frozenset(system),
         package_names=frozenset(packages),
         matched_arm=_matched_arm(site, method),
-        truncated=truncated,
         region_literals=tuple(literals),
         invoked_names=tuple(invoked_names),
         referenced_types=tuple(types),
@@ -450,16 +430,14 @@ def find_device_guards(
     db: DeviceInfoDB,
 ) -> list[DeviceGuard]:
     """find_guard_sites + collect_guard_strings + confirm_device_guard, one
-    method at a time, sharing one definition query per method between them.
-    Methods where no if or comparison reads a tainted register are skipped,
-    and an untainted one before its CFG is built."""
+    method at a time. Methods where no if or comparison reads a tainted
+    register are skipped, and an untainted one before its CFG is built."""
     guards: list[DeviceGuard] = []
     for sig in sorted(cfgs):
         if not taint.tainted_in(sig) or not _may_hold_sites(taint, sig, cfg := cfgs[sig]):
             continue
-        defs_at = definition_query(cfg)
-        for site in find_guard_sites(taint, cfg, defs_at):
-            strings = collect_guard_strings(site, cfg, defs_at)
+        for site in find_guard_sites(taint, cfg):
+            strings = collect_guard_strings(site, cfg)
             guard = confirm_device_guard(site, strings, db)
             if guard is not None:
                 guards.append(guard)

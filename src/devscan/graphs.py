@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
 
@@ -11,6 +11,9 @@ from .ir import IF_OPCODES, INVOKE_OPCODES, MethodIR, MethodRef, Opcode, Program
 
 # synthetic exit node joining all return blocks
 EXIT = -1
+
+# the definition site CFG.defs reports for method entry
+ENTRY_DEF = -1
 
 
 class EdgeKind(str, Enum):
@@ -25,7 +28,9 @@ class CFG:
 
     Block b covers the instructions in ``blocks[b]``; ``succ[b]`` and
     ``pred[b]`` hold its neighbours in ascending order, one entry per edge;
-    ``block_of[i]`` is the block of instruction i.
+    ``block_of[i]`` is the block of instruction i. Every stage reads the
+    method's definitions through ``defs`` and its invoke/move-result pairs
+    through ``paired``, so each is computed once per method.
     """
 
     method: MethodIR
@@ -36,11 +41,56 @@ class CFG:
     block_of: tuple[int, ...]
     # the register each instruction writes, None where it writes none
     writes: tuple[int | None, ...]
+    # the move-result receiving each invoke's value and the invoke feeding
+    # each move-result, None elsewhere; only nops sit between the two
+    paired: tuple[int | None, ...]
     has_const_string: bool
+    # (block start, register) -> the answer of defs there, made on first fill
+    _start_defs: dict[tuple[int, int], frozenset[int]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def instructions_of(self, bid: int):
         b = self.blocks[bid]
         return self.method.instructions[b.start : b.stop]
+
+    def defs(self, index: int, register: int) -> frozenset[int]:
+        """The definition sites of ``register`` reaching instruction ``index``.
+
+        A backward walk over the tables that stops at the register's writes.
+        A walk reaching method entry without a write yields ENTRY_DEF,
+        whatever the register: a caller that needs the value live on entry
+        matches it against what it knows holds there. Only the answers at
+        block starts are memoised; the prefix of the block before ``index``
+        is scanned on each query. Queries running concurrently may fill the
+        memo twice, with equal answers.
+        """
+        writes, blocks = self.writes, self.blocks
+        bid = self.block_of[index]
+        start = blocks[bid].start
+        for j in range(index - 1, start - 1, -1):
+            if writes[j] == register:
+                return frozenset((j,))
+        memo = self._start_defs
+        if memo is None:
+            memo = self._start_defs = {}
+        found = memo.get((start, register))
+        if found is None:
+            # the writes ending blocks that reach this one without a write
+            defs, seen, work = set(), {bid}, [bid]
+            while work:
+                b = work.pop()
+                if b == 0:
+                    defs.add(ENTRY_DEF)
+                for p in self.pred[b]:
+                    d = next((j for j in reversed(blocks[p]) if writes[j] == register), None)
+                    if d is not None:
+                        defs.add(d)
+                    elif p not in seen:
+                        seen.add(p)
+                        work.append(p)
+            found = memo[(start, register)] = frozenset(defs)
+        return found
 
 
 def build_cfg(method: MethodIR) -> CFG:
@@ -89,6 +139,14 @@ def build_cfg(method: MethodIR) -> CFG:
     for src, dst, _ in edges:
         succ[src].append(dst)
         pred[dst].append(src)
+    paired: list[int | None] = [None] * n
+    for ins in instructions:
+        if ins.opcode is Opcode.MOVE_RESULT:
+            i = ins.index - 1
+            while i >= 0 and instructions[i].opcode is Opcode.NOP:
+                i -= 1
+            if i >= 0 and instructions[i].opcode in INVOKE_OPCODES:
+                paired[i], paired[ins.index] = ins.index, i
     return CFG(
         method=method,
         blocks=blocks,
@@ -97,6 +155,7 @@ def build_cfg(method: MethodIR) -> CFG:
         pred=tuple(map(tuple, pred)),  # edges come in ascending source order
         block_of=block_of,
         writes=tuple(map(written_register, instructions)),
+        paired=tuple(paired),
         has_const_string=any(i.opcode is Opcode.CONST_STRING for i in instructions),
     )
 

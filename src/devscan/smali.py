@@ -565,6 +565,10 @@ def _parse_class(text: str, memo: _DecodeMemo) -> ClassDef:
         block_start = line.split(None, 1)[0]
         if block_start in _SKIPPABLE_BLOCKS:
             skip_until = _SKIPPABLE_BLOCKS[block_start]
+            # the labels before a payload name its data, not an instruction
+            payloads = (".packed-switch", ".sparse-switch", ".array-data")
+            if method is not None and block_start in payloads:
+                method.pending_labels.clear()
             continue
         if line.startswith(".end"):
             raise SmaliSyntaxError(f"unmatched {line!r}", line_no)

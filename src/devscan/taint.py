@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .devicedb import DEFAULT_SOURCE_SPECS
-from .graphs import CFG, CallGraph, CFGMap
+from .graphs import CFG, ENTRY_DEF, CallGraph, CFGMap
 from .ir import (
     INVOKE_OPCODES,
     Instruction,
@@ -93,9 +93,7 @@ class TaintFact:
 
 
 # ---------------------------------------------------------------------------
-# reaching definitions and def-use chains
-
-ENTRY_DEF = -1
+# dataflow over one method's blocks, and def-use chains from CFG.defs
 
 # the value an instruction writes to its register, given the state before
 # it; a falsy value leaves the register out of the state
@@ -156,56 +154,9 @@ def solve_blocks(
     return in_sets, True
 
 
-# (index, register) -> the definition sites of the register reaching the
-# instruction, ENTRY_DEF where a path from method entry has no write
-DefinitionQuery = Callable[[int, int], frozenset[int]]
-
-
-def definition_query(cfg: CFG) -> DefinitionQuery:
-    """Reaching definitions one (index, register) at a time, by a memoised
-    backward walk over the CFG tables that stops at the register's writes.
-    A walk reaching method entry without a write yields ENTRY_DEF, whatever
-    the register: a caller that needs the value live on entry matches it
-    against what it knows holds there. A query below a block's start
-    reads or fills the start's entry itself, so the query never calls
-    itself and leaves no reference cycle behind."""
-    writes, blocks, block_of, pred = cfg.writes, cfg.blocks, cfg.block_of, cfg.pred
-    memo: dict[tuple[int, int], frozenset[int]] = {}
-
-    def last_write(register: int, span: range) -> int | None:
-        return next((j for j in reversed(span) if writes[j] == register), None)
-
-    def query(index: int, register: int) -> frozenset[int]:
-        found = memo.get((index, register))
-        if found is None:
-            bid = block_of[index]
-            start = blocks[bid].start
-            if (d := last_write(register, range(start, index))) is not None:
-                found = frozenset((d,))
-            elif (found := memo.get((start, register))) is None:
-                # the writes ending blocks that reach this one without a write
-                defs, seen, work = set(), {bid}, [bid]
-                while work:
-                    b = work.pop()
-                    if b == 0:
-                        defs.add(ENTRY_DEF)
-                    for p in pred[b]:
-                        if (d := last_write(register, blocks[p])) is not None:
-                            defs.add(d)
-                        elif p not in seen:
-                            seen.add(p)
-                            work.append(p)
-                found = memo[(start, register)] = frozenset(defs)
-            memo[(index, register)] = found
-        return found
-
-    return query
-
-
-def def_closure(
-    method: MethodIR, defs_at: DefinitionQuery, index: int, register: int
-) -> frozenset[int]:
+def def_closure(cfg: CFG, index: int, register: int) -> frozenset[int]:
     """Non-move definition sites feeding (register, index) through move chains."""
+    code = cfg.method.instructions
     result: set[int] = set()
     work = [(index, register)]
     seen: set[tuple[int, int]] = set()
@@ -214,53 +165,24 @@ def def_closure(
         if (i, r) in seen:
             continue
         seen.add((i, r))
-        for d in defs_at(i, r):
+        for d in cfg.defs(i, r):
             if d == ENTRY_DEF:
                 result.add(d)
-            elif method.instructions[d].opcode is Opcode.MOVE:
-                work.append((d, method.instructions[d].operands[1]))
+            elif code[d].opcode is Opcode.MOVE:
+                work.append((d, code[d].operands[1]))
             else:
                 result.add(d)
     return frozenset(result)
 
 
-def reaching_const_strings(
-    method: MethodIR, defs_at: DefinitionQuery, index: int, register: int
-) -> list[str]:
+def reaching_const_strings(cfg: CFG, index: int, register: int) -> list[str]:
     """Literals of const-string definitions feeding (register, index)."""
-    defs = def_closure(method, defs_at, index, register)
     literals = []
-    for d in sorted(d for d in defs if d >= 0):
-        ins = method.instructions[d]
+    for d in sorted(d for d in def_closure(cfg, index, register) if d >= 0):
+        ins = cfg.method.instructions[d]
         if ins.opcode is Opcode.CONST_STRING:
             literals.append(ins.literal or "")
     return literals
-
-
-def feeding_invoke(method: MethodIR, mr_index: int) -> int | None:
-    """Index of the invoke whose value a move-result consumes; mirror of result_register."""
-    i = mr_index - 1
-    while i >= 0:
-        ins = method.instructions[i]
-        if ins.opcode is Opcode.NOP:
-            i -= 1
-            continue
-        return i if ins.opcode in INVOKE_OPCODES else None
-    return None
-
-
-def result_register(method: MethodIR, invoke_index: int) -> tuple[int, int] | None:
-    """(index, register) of the move-result consuming an invoke's value."""
-    i = invoke_index + 1
-    while i < len(method.instructions):
-        ins = method.instructions[i]
-        if ins.opcode is Opcode.MOVE_RESULT:
-            return i, ins.operands[0]
-        if ins.opcode is Opcode.NOP:
-            i += 1
-            continue
-        return None
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +202,10 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
     for method in program.methods():
         if not method.has_body:
             continue
-        query: DefinitionQuery | None = None
-
-        def defs_at(index: int, register: int) -> frozenset[int]:
-            nonlocal query
-            if query is None:
-                query = definition_query(cfgs[method.signature])
-            return query(index, register)
-
+        sig, code = method.signature, method.instructions
         forname_results: set[int] = set()
         getmethod_results: set[int] = set()
-        for ins in method.instructions:
+        for ins in code:
             if ins.opcode is Opcode.SGET_OBJECT:
                 ref = ins.field_ref
                 assert ref is not None
@@ -298,7 +213,7 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
                     sources.append(
                         DeviceInfoSource(
                             kind=SourceKind.BUILD_FIELD_READ,
-                            method=method.signature,
+                            method=sig,
                             index=ins.index,
                             detail=ref.name,
                             defined_register=ins.operands[0],
@@ -309,59 +224,59 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
                 continue
             ref = ins.method_ref
             assert ref is not None
-            mr = result_register(method, ins.index)
+            if ref.owner not in (SYSPROP_CLASS, CLASS_CLASS, REFLECT_METHOD_CLASS):
+                continue
+            cfg = cfgs[sig]  # built only for a method calling one of these
+            mr = cfg.paired[ins.index]
+            result = code[mr].operands[0] if mr is not None else None
             if ref.owner == SYSPROP_CLASS and ref.name == "get":
                 detail = UNKNOWN_KEY
                 if ins.operands:
-                    consts = reaching_const_strings(
-                        method, defs_at, ins.index, ins.operands[0]
-                    )
+                    consts = reaching_const_strings(cfg, ins.index, ins.operands[0])
                     if consts:
                         detail = consts[0]
                 sources.append(
                     DeviceInfoSource(
                         kind=SourceKind.SYSPROP_DIRECT,
-                        method=method.signature,
+                        method=sig,
                         index=ins.index,
                         detail=detail,
-                        defined_register=mr[1] if mr else None,
+                        defined_register=result,
                     )
                 )
                 continue
             if ref.owner == CLASS_CLASS and ref.name == "forName" and ins.operands:
-                consts = reaching_const_strings(method, defs_at, ins.index, ins.operands[0])
-                if SYSPROP_DOTTED in consts and mr:
-                    forname_results.add(mr[0])
+                consts = reaching_const_strings(cfg, ins.index, ins.operands[0])
+                if SYSPROP_DOTTED in consts and mr is not None:
+                    forname_results.add(mr)
                 continue
             if (
                 ref.owner == CLASS_CLASS
                 and ref.name in ("getMethod", "getDeclaredMethod")
                 and len(ins.operands) >= 2
             ):
-                receiver_defs = def_closure(method, defs_at, ins.index, ins.operands[0])
-                name_consts = reaching_const_strings(
-                    method, defs_at, ins.index, ins.operands[1]
-                )
-                if receiver_defs & forname_results and "get" in name_consts and mr:
-                    getmethod_results.add(mr[0])
+                receiver_defs = def_closure(cfg, ins.index, ins.operands[0])
+                name_consts = reaching_const_strings(cfg, ins.index, ins.operands[1])
+                if receiver_defs & forname_results and "get" in name_consts and mr is not None:
+                    getmethod_results.add(mr)
                 continue
             if ref.owner == REFLECT_METHOD_CLASS and ref.name == "invoke" and ins.operands:
-                receiver_defs = def_closure(method, defs_at, ins.index, ins.operands[0])
+                receiver_defs = def_closure(cfg, ins.index, ins.operands[0])
                 if not (receiver_defs & getmethod_results):
                     continue
                 detail = UNKNOWN_KEY
                 for arg in ins.operands[1:]:
-                    consts = reaching_const_strings(method, defs_at, ins.index, arg)
+                    consts = reaching_const_strings(cfg, ins.index, arg)
                     if consts:
                         detail = consts[0]
                         break
                 sources.append(
                     DeviceInfoSource(
                         kind=SourceKind.SYSPROP_REFLECTIVE,
-                        method=method.signature,
+                        method=sig,
                         index=ins.index,
                         detail=detail,
-                        defined_register=mr[1] if mr else None,
+                        defined_register=result,
                     )
                 )
     return sources
@@ -478,13 +393,14 @@ class TaintEngine:
         what each move-result receives, as index -> (its invoke's source
         bits, the resolved callee or None, an unresolved call's arguments)."""
         if sig not in self._shapes:
-            method = self.cfgs.methods[sig]
+            cfg = self.cfgs[sig]
+            method, paired = cfg.method, cfg.paired
             returns, calls, results = [], [], {}
             for ins in method.instructions:
                 if ins.opcode in (Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE):
                     returns.append((ins.index, ins.operands[0]))
                 elif ins.opcode is Opcode.MOVE_RESULT:
-                    invoke = feeding_invoke(method, ins.index)
+                    invoke = paired[ins.index]
                     edge = self.call_graph.edge_at(sig, invoke) if invoke is not None else None
                     callee = edge.callee if edge is not None and edge.resolved else None
                     args = method.instructions[invoke].operands if invoke is not None else ()
@@ -595,10 +511,11 @@ class TaintEngine:
         move-result parents."""
         sig, reg, d, origin = key
         if d == ENTRY_DEF:
-            callers = sorted({e.caller for e in self.call_graph.callers_of(sig)} & self.cfgs.keys())
+            # a caller passing taint was solved
+            callers = {e.caller for e in self.call_graph.callers_of(sig)} & self.solutions.keys()
             return [
                 (k, Step.PARAM_IN)
-                for caller in callers
+                for caller in sorted(callers)
                 for index, callee, base, args in self._shape(caller)[1]
                 if callee == sig and 0 <= reg - base < len(args)
                 for k in live(caller, args[reg - base], index, origin)
@@ -632,11 +549,11 @@ class TaintEngine:
             for reg, d, mask in self._definitions(sig)
             for origin in _bits(mask)
         }
-        queries = {sig: definition_query(self.cfgs[sig]) for sig in {key[0] for key in keys}}
 
         def live(sig: str, reg: int, index: int, origin: int) -> list[FactKey]:
-            """The facts of (register, origin) reaching an instruction."""
-            defs = queries[sig](index, reg) if sig in queries else ()
+            """The facts of (register, origin) reaching an instruction of a
+            solved method."""
+            defs = self.cfgs[sig].defs(index, reg)
             return [key for d in defs if (key := (sig, reg, d, origin)) in keys]
 
         chains: dict[FactKey, tuple[Step, ...]] = {}
@@ -672,7 +589,7 @@ class TaintEngine:
         for sig, reg in {key[:2] for key in chains} if exact else ():
             cfg, points = self.cfgs[sig], {}
             for block in cfg.blocks:  # each definition's points, in order
-                defs = queries[sig](block.start, reg)
+                defs = cfg.defs(block.start, reg)
                 for i in block:
                     for d in defs:
                         points.setdefault(d, []).append(i)

@@ -12,28 +12,20 @@ from devscan.behavior import (
     find_device_guards,
     find_guard_sites,
 )
-from devscan.graphs import build_call_graph, build_cfgs
+from devscan.graphs import CFG, build_call_graph, build_cfgs
 from devscan.smali import load_program
-from devscan.taint import TaintEngine, definition_query, find_sources
+from devscan.taint import TaintEngine, find_sources
 from tests.conftest import corpus_run
 
 OPPO_SSP = "Lcom/fixtures/oppo/PermissionPage;->startSettingPage(Landroid/content/Context;)V"
 
 
-def query_of(run, sig):
-    return definition_query(run.cfgs[sig])
-
-
 def sites_in(run, sigs):
-    return [
-        site
-        for sig in sorted(sigs)
-        for site in find_guard_sites(run.taint, run.cfgs[sig], query_of(run, sig))
-    ]
+    return [site for sig in sorted(sigs) for site in find_guard_sites(run.taint, run.cfgs[sig])]
 
 
 def guard_strings(run, site):
-    return collect_guard_strings(site, run.cfgs[site.method], query_of(run, site.method))
+    return collect_guard_strings(site, run.cfgs[site.method])
 
 
 def guard_sites_of(fid):
@@ -100,30 +92,25 @@ def test_reaching_definitions_once_per_method(device_db, monkeypatch, fid, expec
     """The guard stage asks backward definition queries instead of solving
     reaching definitions, and only in methods that can hold a site."""
     run = corpus_run(fid)
-    built, queries, solves = [], [], []
-    real_query, real_solve = behavior.definition_query, devscan.taint.solve_blocks
+    queried, queries, solves = set(), [], []
+    real_defs, real_solve = CFG.defs, devscan.taint.solve_blocks
 
-    def counted_query(cfg):
-        built.append(cfg.method.signature)
-        query = real_query(cfg)
-
-        def counted(index, register):
-            queries.append((index, register))
-            return query(index, register)
-
-        return counted
+    def counted_defs(cfg, index, register):
+        queried.add(cfg.method.signature)
+        queries.append((index, register))
+        return real_defs(cfg, index, register)
 
     def counted_solve(*args, **kwargs):
         solves.append(args[0].method.signature)
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(behavior, "definition_query", counted_query)
+    monkeypatch.setattr(CFG, "defs", counted_defs)
     monkeypatch.setattr(devscan.taint, "solve_blocks", counted_solve)
     find_device_guards(run.taint, run.cfgs, device_db)
     # multi_guard holds two sites in one method; in the others no if or
     # string comparison reads a tainted register
     assert solves == []
-    assert len(built) == expected
+    assert len(queried) == expected
     assert bool(queries) == bool(expected)
 
 
@@ -224,14 +211,6 @@ def test_deep_chain_fixpoint(device_db):
         "stepThree(Landroid/content/Context;)V",
     }
     assert not snippet.truncated
-
-
-def test_region_budget_truncates(device_db):
-    run = corpus_run("deep_chain")
-    guards = find_device_guards(run.taint, run.cfgs, device_db)
-    snippet = extract_region(guards[0], run.cfgs, run.call_graph, max_methods=1)
-    assert snippet.truncated
-    assert len(snippet.reachable_methods) == 1
 
 
 def _large_guarded_method(diamonds):

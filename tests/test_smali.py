@@ -250,6 +250,38 @@ def test_annotation_block_skipped():
     assert len(cls.methods) == 1
 
 
+@pytest.mark.parametrize(
+    "use, payload",
+    [
+        ("packed-switch v0, :data", ".packed-switch 0x0\n        :case\n    .end packed-switch"),
+        ("sparse-switch v0, :data", ".sparse-switch\n        0x5 -> :case\n    .end sparse-switch"),
+        ("fill-array-data v0, :data", ".array-data 4\n        0x1\n    .end array-data"),
+    ],
+)
+def test_label_before_payload_names_no_instruction(use, payload):
+    """baksmali puts payloads after a method's last instruction, each behind
+    the label that names its data."""
+    cls = parse_smali_class(
+        f"""
+.class public Lcom/app/Payload;
+.super Ljava/lang/Object;
+
+.method public static f(I)V
+    .registers 1
+    {use}
+    :case
+    return-void
+
+    :data
+    {payload}
+.end method
+"""
+    )
+    (method,) = cls.methods
+    assert [i.opcode for i in method.instructions] == [Opcode.NOP, Opcode.RETURN_VOID]
+    assert method.lowered_count == 1
+
+
 def test_syntax_error_reports_line():
     bad = SINGLE.replace('const-string v0, "oppo"', "const-string v0,")
     with pytest.raises(SmaliSyntaxError) as err:

@@ -4,7 +4,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from devscan.graphs import build_call_graph, build_cfg, build_cfgs
-from devscan.ir import Opcode, Program, written_register
+from devscan.ir import INVOKE_OPCODES, MethodIR, Opcode, Program, written_register
 from devscan.smali import parse_smali_class
 from devscan.taint import (
     ENTRY_DEF,
@@ -12,8 +12,6 @@ from devscan.taint import (
     SourceKind,
     Step,
     TaintEngine,
-    definition_query,
-    feeding_invoke,
     find_sources,
     solve_blocks,
 )
@@ -22,6 +20,34 @@ from tests.conftest import corpus_run
 
 def program_of(src: str):
     return Program((parse_smali_class(src),))
+
+
+# reference walks for CFG.paired, nops skipped; the dense reference transfer
+# reads them too, so it stays independent of the table
+def feeding_invoke(method: MethodIR, mr_index: int) -> int | None:
+    """Index of the invoke whose value a move-result consumes; mirror of result_register."""
+    i = mr_index - 1
+    while i >= 0:
+        ins = method.instructions[i]
+        if ins.opcode is Opcode.NOP:
+            i -= 1
+            continue
+        return i if ins.opcode in INVOKE_OPCODES else None
+    return None
+
+
+def result_register(method: MethodIR, invoke_index: int) -> tuple[int, int] | None:
+    """(index, register) of the move-result consuming an invoke's value."""
+    i = invoke_index + 1
+    while i < len(method.instructions):
+        ins = method.instructions[i]
+        if ins.opcode is Opcode.MOVE_RESULT:
+            return i, ins.operands[0]
+        if ins.opcode is Opcode.NOP:
+            i += 1
+            continue
+        return None
+    return None
 
 
 def engine_facts(program):
@@ -659,12 +685,28 @@ def test_definition_query_matches_reaching_definitions(program, rng):
         cfg = build_cfg(method)
         live = {r: frozenset([ENTRY_DEF]) for r in asked_registers}
         rd = dense_solve(cfg, live, dense_define)
-        query = definition_query(cfg)
         # ask in a random order, so memoised answers feed later walks
         asked = [(i, r) for i in range(len(method.instructions)) for r in asked_registers]
         rng.shuffle(asked)
         for i, r in asked:
-            assert query(i, r) == rd[i].get(r, frozenset()), (method.signature, i, r)
+            assert cfg.defs(i, r) == rd[i].get(r, frozenset()), (method.signature, i, r)
+
+
+@given(_random_programs())
+@settings(max_examples=200, deadline=None)
+def test_pairing_matches_the_walks(program):
+    """CFG.paired holds each move-result with the invoke the walk back from
+    it finds, and each invoke with the move-result the walk forward finds."""
+    for method in program.methods():
+        expected = []
+        for ins in method.instructions:
+            partner = None
+            if ins.opcode is Opcode.MOVE_RESULT:
+                partner = feeding_invoke(method, ins.index)
+            elif ins.opcode in INVOKE_OPCODES:
+                partner = (result_register(method, ins.index) or (None,))[0]
+            expected.append(partner)
+        assert build_cfg(method).paired == tuple(expected), method.signature
 
 
 def test_call_ring_solves_each_body_once():

@@ -145,11 +145,10 @@ def _comparison_invoke(method: MethodIR, index: int) -> tuple[ComparisonKind, In
 def _tainted_side(
     taint: TaintResult, sig: str, invoke: Instruction
 ) -> OperandSide | None:
-    tainted = taint.tainted_registers(sig, invoke.index)
     if not invoke.operands:
         return None
-    receiver_tainted = invoke.operands[0] in tainted
-    argument_tainted = any(r in tainted for r in invoke.operands[1:])
+    receiver_tainted = taint.tainted(sig, invoke.index, invoke.operands[0])
+    argument_tainted = any(taint.tainted(sig, invoke.index, r) for r in invoke.operands[1:])
     if receiver_tainted and argument_tainted:
         return OperandSide.BOTH
     if receiver_tainted:
@@ -164,7 +163,7 @@ def _may_hold_sites(taint: TaintResult, sig: str, cfg: CFG) -> bool:
     m = cfg.method
     reads = [i for i in m.instructions if i.opcode in IF_OPCODES or _comparison_invoke(m, i.index)]
     return any(i.opcode in IF_OPCODES for i in reads) and any(
-        not taint.tainted_registers(sig, i.index).isdisjoint(i.operands) for i in reads
+        taint.tainted(sig, i.index, r) for i in reads for r in i.operands
     )
 
 
@@ -182,7 +181,6 @@ def find_guard_sites(taint: TaintResult, cfg: CFG) -> list[GuardSite]:
         if ins.opcode not in IF_OPCODES:
             continue
         site = None
-        tainted_here = taint.tainted_registers(sig, ins.index)
         for reg in ins.operands:
             defs = def_closure(cfg, ins.index, reg)
             for d in sorted(x for x in defs if x >= 0):
@@ -209,7 +207,7 @@ def find_guard_sites(taint: TaintResult, cfg: CFG) -> list[GuardSite]:
                 break
         if site is None:
             for pos, reg in enumerate(ins.operands):
-                if reg in tainted_here:
+                if taint.tainted(sig, ins.index, reg):
                     side = OperandSide.RECEIVER if pos == 0 else OperandSide.ARGUMENT
                     site = GuardSite(
                         method=sig,

@@ -114,8 +114,6 @@ class _Simulator:
                         tainted.add(r)
             ins = method.instructions[i]
             op = ins.opcode
-            if op is Opcode.NOP:
-                continue  # pending survives lowered instructions
             if op is Opcode.MOVE_RESULT:
                 regs[ins.operands[0]] = pending if pending_valid else EMPTY
                 pending_valid = False
@@ -124,7 +122,7 @@ class _Simulator:
                 pending = self._invoke(sig, method, ins, regs)
                 pending_valid = True
                 continue
-            pending_valid = False
+            pending_valid = False  # a move-result reads only the instruction right before it
             if op is Opcode.CONST_STRING or op is Opcode.NEW_INSTANCE:
                 regs[ins.operands[0]] = EMPTY
             elif op is Opcode.SGET_OBJECT:

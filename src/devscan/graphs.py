@@ -42,7 +42,8 @@ class CFG:
     # the register each instruction writes, None where it writes none
     writes: tuple[int | None, ...]
     # the move-result receiving each invoke's value and the invoke feeding
-    # each move-result, None elsewhere; only nops sit between the two
+    # each move-result, None elsewhere; as in Dalvik, the move-result is the
+    # instruction right after its invoke
     paired: tuple[int | None, ...]
     has_const_string: bool
     # (block start, register) -> the answer of defs there, made on first fill
@@ -141,12 +142,9 @@ def build_cfg(method: MethodIR) -> CFG:
         pred[dst].append(src)
     paired: list[int | None] = [None] * n
     for ins in instructions:
-        if ins.opcode is Opcode.MOVE_RESULT:
-            i = ins.index - 1
-            while i >= 0 and instructions[i].opcode is Opcode.NOP:
-                i -= 1
-            if i >= 0 and instructions[i].opcode in INVOKE_OPCODES:
-                paired[i], paired[ins.index] = ins.index, i
+        i = ins.index - 1
+        if ins.opcode is Opcode.MOVE_RESULT and i >= 0 and instructions[i].opcode in INVOKE_OPCODES:
+            paired[i], paired[ins.index] = ins.index, i
     return CFG(
         method=method,
         blocks=blocks,

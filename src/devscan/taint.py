@@ -2,34 +2,25 @@
 
 Sources are reads of device-identifying ``android.os.Build`` fields and
 ``android.os.SystemProperties`` lookups (direct or through reflection).
-Propagation is a register-level def-use analysis: facts flow through
-moves, into callee parameters, out of library calls that consumed tainted
-values, and back from callee returns to caller ``move-result`` registers.
-A fact dies when its register is redefined.
+Propagation runs on one value-flow graph per app whose nodes are register
+definitions: taint flows through moves, into callee parameters, out of
+library calls that consumed tainted values, and back from callee returns
+to caller ``move-result`` registers. A fact dies when its register is
+redefined.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, reduce
-from operator import or_
-from types import MappingProxyType
-from typing import NamedTuple
+from functools import cached_property
 
 from .devicedb import DEFAULT_SOURCE_SPECS
 from .graphs import CFG, ENTRY_DEF, CallGraph, CFGMap
-from .ir import (
-    INVOKE_OPCODES,
-    Instruction,
-    MethodIR,
-    Opcode,
-    Program,
-    read_registers,
-)
+from .ir import INVOKE_OPCODES, Opcode, Program, read_registers
 
 UNKNOWN_KEY = "UNKNOWN_KEY"
 
@@ -93,66 +84,7 @@ class TaintFact:
 
 
 # ---------------------------------------------------------------------------
-# dataflow over one method's blocks, and def-use chains from CFG.defs
-
-# the value an instruction writes to its register, given the state before
-# it; a falsy value leaves the register out of the state
-Transfer = Callable[[Instruction, Mapping], object]
-
-# the state of a point no pass has reached yet
-_UNREACHED: Mapping = MappingProxyType({})
-
-
-def solve_blocks(
-    cfg: CFG, entry: Mapping, transfer: Transfer, deadline: float | None = None
-) -> tuple[list[Mapping], bool]:
-    """Forward may-dataflow over one method's blocks, to a fixpoint.
-
-    A state maps register -> value, and values (the engine's atom masks)
-    join with ``|``. ``entry`` holds on method entry. Returns the state
-    before every instruction and True; once ``deadline`` has passed, the
-    states reached so far and False. States, ``entry`` among them, are
-    read-only and shared: a new one is made only where a write changes a
-    register, so the points between two writes hold the same mapping.
-    """
-    instructions, writes = cfg.method.instructions, cfg.writes
-    in_sets: list[Mapping] = [_UNREACHED] * len(instructions)
-    block_out: dict[int, Mapping] = {}
-    work = deque(range(len(cfg.blocks)))
-    queued = set(work)
-    while work:
-        if deadline is not None and time.monotonic() > deadline:
-            return in_sets, False
-        bid = work.popleft()
-        queued.discard(bid)
-        joins = [block_out[p] for p in cfg.pred[bid] if p in block_out]
-        if bid == 0:
-            joins.append(entry)
-        if len(joins) == 1:
-            state = joins[0]
-        else:
-            state = {}
-            for incoming in joins:
-                for reg, value in incoming.items():
-                    state[reg] = state[reg] | value if reg in state else value
-        for i in cfg.blocks[bid]:
-            in_sets[i] = state
-            if (w := writes[i]) is None:
-                continue
-            if value := transfer(instructions[i], state):
-                if state.get(w) != value:
-                    state = {**state, w: value}
-            elif w in state:
-                state = dict(state)
-                del state[w]
-        if block_out.get(bid) != state:
-            block_out[bid] = state
-            for succ in cfg.succ[bid]:
-                if succ not in queued:
-                    work.append(succ)
-                    queued.add(succ)
-    return in_sets, True
-
+# def-use chains from CFG.defs
 
 def def_closure(cfg: CFG, index: int, register: int) -> frozenset[int]:
     """Non-move definition sites feeding (register, index) through move chains."""
@@ -285,26 +217,16 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
 # ---------------------------------------------------------------------------
 # propagation engine
 #
-# A solved method's dataflow values are masks over its atoms (entry registers
-# a call can seed, resolved call results, source reads and invokes), whose
-# values are origin masks, bit i standing for sources[i]. The transfer only
-# copies, unions and kills, so a point's origin mask is the union of its
-# atoms' values. TaintFacts are rebuilt only when asked for.
+# One value-flow graph per app, the sparse evaluation graph of Choi, Cytron
+# and Ferrante (POPL 1991). A node is a definition (method, register, def
+# index), ENTRY_DEF standing for a register a call seeds, or a method's
+# return node, its signature. A node holds an origin mask, bit i standing
+# for sources[i], and an edge ORs its parent's mask into its child: the
+# transfer only copies and unions, and a write that is no node kills.
+# TaintFacts are rebuilt only when asked for.
 
+Def = tuple[str, int, int]  # (method, register, def index)
 FactKey = tuple[str, int, int, int]  # (method, register, def index, origin index)
-
-# a parent fact and the step deriving from it; None stands for a callee
-# return, CALLER_RETURN when the parent's chain came in as a parameter
-Derivation = tuple[FactKey, Step | None]
-
-
-class _Body(NamedTuple):
-    """One method's symbolic solution and the equations read off it."""
-    points: list[Mapping[int, int]]  # the state before every instruction
-    atoms: list[tuple[int, str | None, int | None]]  # (source bits, callee, entry register)
-    transfer: Transfer
-    returns: tuple[int, ...]  # the atoms the method can return
-    sends: list[tuple[str, int, tuple[int, ...]]]  # (callee, entry register, atoms)
 
 
 @dataclass
@@ -312,9 +234,9 @@ class TaintResult:
     sources: tuple[DeviceInfoSource, ...]
     iterations: int
     converged: bool
-    # solved method -> (its symbolic states, the mask of its atoms holding taint, -1 for all)
-    _points: dict[str, tuple[list, int]] = field(default_factory=dict, repr=False)
-    _methods: Mapping[str, MethodIR] = field(default_factory=dict, repr=False)
+    # built method -> register -> the indices of its tainted definitions
+    _tainted: dict[str, dict[int, set[int]]] = field(default_factory=dict, repr=False)
+    _cfgs: CFGMap = field(default_factory=lambda: CFGMap({}), repr=False)
     _build_facts: Callable[[], frozenset[TaintFact]] | None = field(
         default=None, repr=False, compare=False
     )
@@ -324,24 +246,27 @@ class TaintResult:
         # materialized on demand; partial results can be very large
         return self._build_facts() if self._build_facts else frozenset()
 
+    def tainted(self, method_sig: str, index: int, register: int) -> bool:
+        """Whether the register is tainted immediately before the
+        instruction: whether a tainted definition of it reaches there."""
+        defs = self._tainted.get(method_sig, {}).get(register)
+        return defs is not None and not defs.isdisjoint(self._cfgs[method_sig].defs(index, register))
+
     def tainted_registers(self, method_sig: str, index: int) -> frozenset[int]:
         """Registers tainted immediately before the instruction executes."""
-        states, live = self._points.get(method_sig, ((), 0))
-        if index >= len(states):
-            return frozenset()
-        if live == -1:  # every atom holds taint
-            return frozenset(states[index])
-        return frozenset(reg for reg, mask in states[index].items() if mask & live)
+        regs = self._tainted.get(method_sig, ())
+        return frozenset(r for r in regs if self.tainted(method_sig, index, r))
 
     def tainted_in(self, method_sig: str) -> bool:
-        """Whether any register of the method is tainted at any point."""
-        states, live = self._points.get(method_sig, ((), 0))
-        return bool(live) and any(mask & live for state in states for mask in state.values())
+        """Whether any register of the method is tainted at any point: a
+        tainted definition reaches the point after it, as a method does not
+        end in a write."""
+        return bool(self._tainted.get(method_sig))
 
     def per_point(self) -> dict[str, dict[int, frozenset[int]]]:
         return {
             sig: {i: self.tainted_registers(sig, i) for i in range(len(method.instructions))}
-            for sig, method in self._methods.items()
+            for sig, method in self._cfgs.methods.items()
         }
 
 
@@ -352,15 +277,21 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _union(values: list[int], atoms: Iterable[int]) -> int:
-    return reduce(or_, [values[a] for a in atoms], 0)
-
-
 class TaintEngine:
-    """Worklist fixpoint over method summaries, from the methods holding a
-    source. Each demanded body is solved once; new entry masks or callee
-    summaries re-evaluate only its return and call-argument atoms. A
-    passed ``deadline`` (``time.monotonic()``) stops it where it is."""
+    """Origin masks flowing by union on one value-flow graph, from the
+    methods holding a source.
+
+    A method's edges are added the first time taint reaches it: it holds a
+    source, a call seeds one of its entry registers, or a callee it
+    resolves to returns taint. ``iterations`` counts the methods built.
+    ``masks`` maps each node to its origin mask, and holds a built method's
+    return node from the build on; ``edges`` maps a node to the nodes it
+    feeds. A move whose read reaches exactly one earlier definition shares
+    that definition's node, through ``shared`` (Rountev and Chandra's
+    off-line variable substitution, PLDI 2000). A passed ``deadline``
+    (``time.monotonic()``), checked per node popped and per method built,
+    stops it where it is.
+    """
 
     def __init__(
         self,
@@ -374,201 +305,183 @@ class TaintEngine:
         self.sources = tuple(sources)
         self.deadline = deadline
 
-        self.entry_facts: dict[str, dict[int, int]] = {}
-        self.summaries: dict[str, int] = {}
-        self.solutions: dict[str, _Body] = {}
+        self.masks: dict[Def | str, int] = {}
+        self.edges: dict[Def | str, list[Def | str]] = {}
+        self.shared: dict[Def, Def] = {}
         self.iterations = 0
-        self._sget_bits: dict[str, dict[int, int]] = {}
-        self._invoke_bits: dict[tuple[str, int], int] = {}
+        # the nodes to pop, first in first out, and the origins each has not passed on yet
+        self._work: deque[Def | str] = deque()
+        self._pending: dict[Def | str, int] = {}
+        # method -> (register, def index) -> the origins a source writes there
+        self._seeds: dict[str, dict[tuple[int, int], int]] = {}
         for i, src in enumerate(self.sources):
-            if src.kind is SourceKind.BUILD_FIELD_READ:
-                self._sget_bits.setdefault(src.method, {})[src.index] = 1 << i
-            else:
-                self._invoke_bits[(src.method, src.index)] = 1 << i
-        self._shapes: dict[str, tuple[list, list, dict]] = {}
+            if src.defined_register is None:
+                continue
+            d = src.index
+            if src.kind is not SourceKind.BUILD_FIELD_READ:  # the call's move-result
+                d = cfgs[src.method].paired[d]
+            seeds = self._seeds.setdefault(src.method, {})
+            seeds[(src.defined_register, d)] = seeds.get((src.defined_register, d), 0) | 1 << i
 
-    def _shape(self, sig: str) -> tuple[list, list, dict]:
-        """A method's returns, as (index, register); its resolved calls into
-        bodies, as (index, callee, first parameter register, arguments); and
-        what each move-result receives, as index -> (its invoke's source
-        bits, the resolved callee or None, an unresolved call's arguments)."""
-        if sig not in self._shapes:
-            cfg = self.cfgs[sig]
-            method, paired = cfg.method, cfg.paired
-            returns, calls, results = [], [], {}
-            for ins in method.instructions:
-                if ins.opcode in (Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE):
-                    returns.append((ins.index, ins.operands[0]))
-                elif ins.opcode is Opcode.MOVE_RESULT:
-                    invoke = paired[ins.index]
-                    edge = self.call_graph.edge_at(sig, invoke) if invoke is not None else None
-                    callee = edge.callee if edge is not None and edge.resolved else None
-                    args = method.instructions[invoke].operands if invoke is not None else ()
-                    bits = self._invoke_bits.get((sig, invoke), 0)
-                    results[ins.index] = (bits, callee, args if callee is None else ())
-                elif ins.opcode in INVOKE_OPCODES:
-                    edge = self.call_graph.edge_at(sig, ins.index)
+    def _late(self) -> bool:
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+    def _flow(self, nodes: Iterable[Def | str], mask: int) -> None:
+        """OR origins into nodes, queueing the new ones to pass on."""
+        masks, pending = self.masks, self._pending
+        for node in nodes:
+            old = masks.get(node, 0)
+            if new := mask & ~old:
+                masks[node] = old | new
+                if node in pending:
+                    pending[node] |= new
+                else:
+                    pending[node] = new
+                    self._work.append(node)
+
+    def _edges(self, sig: str) -> Iterator[tuple[tuple[Def | str, ...], Def | str, Step | None]]:
+        """The edges a method's code adds, in instruction order: each node it
+        feeds, with the nodes feeding it and the fact step taken there.
+
+        A move, an unresolved call's move-result, a return and each argument
+        word of a resolved call read the definitions reaching them: the
+        block's own last write of the register, else what reaches the
+        block's start. A resolved call's move-result reads its callee's
+        return node, under step None, as the method's own return node is fed.
+        """
+        cfg = self.cfgs[sig]
+        code, paired, writes = cfg.method.instructions, cfg.paired, cfg.writes
+        start, reaching = 0, {}  # the block's start, and register -> its definitions here
+
+        def reads(reg: int) -> tuple[Def, ...]:
+            found = reaching.get(reg)
+            if found is None:
+                found = reaching[reg] = tuple((sig, reg, d) for d in cfg.defs(start, reg))
+            return found
+
+        # enum members read once: each read of one costs a class attribute lookup
+        move, move_result = Opcode.MOVE, Opcode.MOVE_RESULT
+        returns = (Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE)
+        copy, lib_return, param_in = Step.MOVE, Step.LIB_RETURN, Step.PARAM_IN
+        for block in cfg.blocks:
+            start, reaching = block.start, {}
+            for i in block:
+                ins = code[i]
+                op = ins.opcode
+                if op is move:
+                    yield reads(ins.operands[1]), (sig, ins.operands[0], i), copy
+                elif op is move_result and (invoke := paired[i]) is not None:
+                    edge = self.call_graph.edge_at(sig, invoke)
+                    if edge is not None and edge.resolved:
+                        yield (edge.callee,), (sig, ins.operands[0], i), None
+                    else:
+                        args = code[invoke].operands
+                        yield tuple(p for a in args for p in reads(a)), (sig, ins.operands[0], i), lib_return
+                elif op in returns:
+                    yield reads(ins.operands[0]), sig, None
+                elif op in INVOKE_OPCODES:
+                    edge = self.call_graph.edge_at(sig, i)
                     if edge is not None and edge.resolved and edge.callee in self.cfgs:
+                        # a call seeds the last registers of the frame, one per argument word
                         base = self.cfgs.methods[edge.callee].registers - len(ins.operands)
-                        if base >= 0:
-                            calls.append((ins.index, edge.callee, base, ins.operands))
-            self._shapes[sig] = (returns, calls, results)
-        return self._shapes[sig]
+                        for word, arg in enumerate(ins.operands if base >= 0 else ()):
+                            yield reads(arg), (edge.callee, base + word, ENTRY_DEF), param_in
+                if (w := writes[i]) is not None:
+                    reaching[w] = ((sig, w, i),)
 
-    def _solve_body(self, sig: str) -> bool:
-        """Solve a method body once, with an atom for each of its inputs;
-        False when the deadline cut the solve short."""
+    def _build(self, sig: str) -> bool:
+        """Add a method's edges and seeds, flowing along the edges what
+        their parents hold; False when the deadline has passed."""
+        if self._late():
+            return False
         self.iterations += 1
-        method = self.cfgs.methods[sig]
-        returns, calls, results = self._shape(sig)
-        atoms: list[tuple[int, str | None, int | None]] = []
-
-        def atom(bits: int, callee: str | None = None, reg: int | None = None) -> int:
-            atoms.append((bits, callee, reg))
-            return 1 << len(atoms) - 1
-
-        # a call seeds the last registers of the frame, one per argument word
-        top = low = method.registers
-        for e in self.call_graph.callers_of(sig):
-            low = min(low, top - len(self.cfgs.methods[e.caller].instructions[e.call_index].operands))
-        entry = {reg: atom(0, reg=reg) for reg in range(max(0, low), top)}
-        # a source read's atom, and a move-result's for its source and callee
-        own = {i: atom(bits) for i, bits in self._sget_bits.get(sig, {}).items()}
-        own.update((i, atom(b, callee)) for i, (b, callee, _) in results.items() if b or callee)
-
-        def transfer(ins: Instruction, state: Mapping[int, int]) -> int:
-            if ins.opcode is Opcode.MOVE:
-                return state.get(ins.operands[1], 0)
-            mask = own.get(ins.index, 0)  # any other write without an atom kills
-            for arg in results[ins.index][2] if ins.opcode is Opcode.MOVE_RESULT else ():
-                mask |= state.get(arg, 0)  # an unresolved callee returns its arguments'
-            return mask
-
-        points, finished = solve_blocks(self.cfgs[sig], entry, transfer, self.deadline)
-        returned = reduce(or_, [points[index].get(reg, 0) for index, reg in returns], 0)
-        sends = [
-            (callee, base + word, tuple(_bits(points[index][arg])))
-            for index, callee, base, args in calls
-            for word, arg in enumerate(args)
-            if arg in points[index]
-        ]
-        self.solutions[sig] = _Body(points, atoms, transfer, tuple(_bits(returned)), sends)
-        return finished
-
-    def _values(self, sig: str) -> list[int]:
-        """Each atom's origin mask now; neither dict has a None key."""
-        entry, got = self.entry_facts.get(sig, {}), self.summaries
-        return [b | got.get(c, 0) | entry.get(r, 0) for b, c, r in self.solutions[sig].atoms]
-
-    # -- fixpoint ---------------------------------------------------------
+        self.masks[sig] = 0  # its return node marks it built
+        edges, shared, move = list(self._edges(sig)), self.shared, Step.MOVE
+        for parents, child, step in edges:
+            # copies come in instruction order, so an earlier parent's node is known
+            if step is move and len(parents) == 1 and parents[0][2] < child[2]:
+                shared[child] = shared.get(parents[0], parents[0])
+        for parents, child, _ in edges:
+            if child in shared:
+                continue
+            for parent in parents:
+                node = shared.get(parent, parent)
+                self.edges.setdefault(node, []).append(child)
+                if mask := self.masks.get(node):
+                    self._flow((child,), mask)
+        for (reg, d), bits in self._seeds.get(sig, {}).items():
+            self._flow(((sig, reg, d),), bits)
+        return True
 
     def solve(self) -> TaintResult:
-        work = deque(sorted({src.method for src in self.sources}))
-        queued = set(work)
-        converged = True
-        while work:
-            sig = work.popleft()
-            if self.deadline is not None and time.monotonic() > self.deadline:
+        converged = all(self._build(sig) for sig in sorted({src.method for src in self.sources}))
+        masks, work, pending = self.masks, self._work, self._pending
+        while converged and work:
+            if self._late():
                 converged = False
                 break
-            queued.discard(sig)
-            if sig not in self.solutions and not self._solve_body(sig):
-                converged = False  # its states are partial
-            for dirty in self._evaluate(sig):
-                if dirty not in queued:
-                    work.append(dirty)
-                    queued.add(dirty)
-        return self._build_result(converged)
+            node = work.popleft()
+            delta = pending.pop(node)
+            self._flow(self.edges.get(node, ()), delta)
+            if type(node) is str:  # a return node: its resolved callers read it
+                reached = sorted({e.caller for e in self.call_graph.callers_of(node) if e.resolved})
+            elif node[2] == ENTRY_DEF:
+                reached = [node[0]]
+            else:
+                continue
+            converged = all(self._build(sig) for sig in reached if sig not in masks)
+        tainted: dict[str, dict[int, set[int]]] = {}
+        for (sig, reg, d), _ in self._tainted_defs():
+            tainted.setdefault(sig, {}).setdefault(reg, set()).add(d)
+        return TaintResult(
+            sources=self.sources,
+            iterations=self.iterations,
+            converged=converged,
+            _tainted=tainted,
+            _cfgs=self.cfgs,
+            _build_facts=lambda: self._facts(converged),
+        )
 
-    def _evaluate(self, sig: str) -> list[str]:
-        """Re-evaluate a method's summary and call arguments; return the methods they change."""
-        body, values = self.solutions[sig], self._values(sig)
-        dirty: list[str] = []
-        if (summary := _union(values, body.returns)) != self.summaries.get(sig, 0):
-            self.summaries[sig] = summary
-            dirty += sorted({e.caller for e in self.call_graph.callers_of(sig) if e.resolved})
-        for callee, reg, atoms in body.sends:
-            regs = self.entry_facts.setdefault(callee, {})
-            if (mask := _union(values, atoms)) & ~regs.get(reg, 0):
-                regs[reg] = regs.get(reg, 0) | mask
-                dirty.append(callee)
-        return dirty
+    def _tainted_defs(self) -> Iterator[tuple[Def, int]]:
+        """Each tainted definition of a built method, with its origin mask."""
+        masks = self.masks
+        for key, mask in masks.items():
+            if mask and type(key) is tuple and key[0] in masks:
+                yield key, mask
+        for key, node in self.shared.items():  # only a built method shares
+            if mask := masks.get(node):
+                yield key, mask
 
     # -- facts --------------------------------------------------------------
 
-    def _definitions(self, sig: str) -> Iterator[tuple[int, int, int]]:
-        """(register, definition index, written origin mask) of each tainted
-        definition of a solved method."""
-        yield from ((reg, ENTRY_DEF, mask) for reg, mask in self.entry_facts.get(sig, {}).items())
-        (points, _, transfer, _, _), values = self.solutions[sig], self._values(sig)
-        code = self.cfgs.methods[sig].instructions
-        for i, w in enumerate(self.cfgs[sig].writes):
-            if w is not None and (mask := _union(values, _bits(transfer(code[i], points[i])))):
-                yield w, i, mask
-
-    def _incoming(self, key: FactKey, live: Callable) -> tuple[Step, ...] | list[Derivation]:
-        """() for a fact a source read creates; else its parameter or
-        move-result parents."""
-        sig, reg, d, origin = key
-        if d == ENTRY_DEF:
-            # a caller passing taint was solved
-            callers = {e.caller for e in self.call_graph.callers_of(sig)} & self.solutions.keys()
-            return [
-                (k, Step.PARAM_IN)
-                for caller in sorted(callers)
-                for index, callee, base, args in self._shape(caller)[1]
-                if callee == sig and 0 <= reg - base < len(args)
-                for k in live(caller, args[reg - base], index, origin)
-            ]
-        method = self.cfgs.methods[sig]
-        op = method.instructions[d].opcode
-        if op is Opcode.SGET_OBJECT:
-            return () if self._sget_bits.get(sig, {}).get(d, 0) >> origin & 1 else []
-        if op is not Opcode.MOVE_RESULT:
-            return []
-        bits, callee, args = self._shape(sig)[2][d]
-        if bits >> origin & 1:
-            return ()
-        if callee is not None:
-            returns = self._shape(callee)[0]
-            return [(k, None) for i, ret in returns for k in live(callee, ret, i, origin)]
-        return [(k, Step.LIB_RETURN) for arg in args for k in live(sig, arg, d, origin)]
-
-    def _facts(self, solved: list[str], exact: bool) -> frozenset[TaintFact]:
-        """TaintFacts of the solved methods, one per definition and origin bit.
+    def _facts(self, exact: bool) -> frozenset[TaintFact]:
+        """TaintFacts of the built methods, one per definition and origin bit.
 
         A chain follows a shortest derivation from a source read, ties going
-        to the smallest parent key. With ``exact`` a valid range ends at the
-        last point its definition reaches and ``uses`` lists the points
-        reading it, both from definition queries; a partial result keeps both
-        coarse.
+        to the smallest parent key; the parents come from the built methods'
+        edges. With ``exact`` a valid range ends at the last point its
+        definition reaches and ``uses`` lists the points reading it, both
+        from definition queries; a partial result keeps both coarse.
         """
-        keys = {
-            (sig, reg, d, origin)
-            for sig in solved
-            for reg, d, mask in self._definitions(sig)
-            for origin in _bits(mask)
-        }
-
-        def live(sig: str, reg: int, index: int, origin: int) -> list[FactKey]:
-            """The facts of (register, origin) reaching an instruction of a
-            solved method."""
-            defs = self.cfgs[sig].defs(index, reg)
-            return [key for d in defs if (key := (sig, reg, d, origin)) in keys]
+        keys = {(*key, origin) for key, mask in self._tainted_defs() for origin in _bits(mask)}
+        into: dict[Def | str, list[tuple[tuple, Step | None]]] = {}
+        for sig in [k for k in self.masks if type(k) is str]:
+            for parents, child, step in self._edges(sig):
+                into.setdefault(child, []).append((parents, step))
 
         chains: dict[FactKey, tuple[Step, ...]] = {}
-        parents: dict[FactKey, list[Derivation]] = {}
+        parents: dict[FactKey, list[tuple[FactKey, Step | None]]] = {}
         children: dict[FactKey, list[FactKey]] = {}
         for key in keys:
-            found = self._incoming(key, live)
-            if isinstance(found, tuple):
-                chains[key] = found
+            sig, reg, d, origin = key
+            if self._seeds.get(sig, {}).get((reg, d), 0) >> origin & 1:
+                chains[key] = ()  # a source read's or source call's own fact
                 continue
-            sig, _, d, origin = key
-            ins = self.cfgs.methods[sig].instructions[d] if d != ENTRY_DEF else None
-            if ins is not None and ins.opcode is Opcode.MOVE:
-                found += [(k, Step.MOVE) for k in live(sig, ins.operands[1], d, origin)]
-            parents[key] = found
+            found = parents[key] = []
+            for nodes, step in into.get((sig, reg, d), ()):
+                if step is None:  # a callee's return node: what its returns read
+                    nodes = [p for ps, _ in into.get(nodes[0], ()) for p in ps]
+                found += [(k, step) for p in nodes if (k := (*p, origin)) in keys]
             for parent, _ in found:
                 children.setdefault(parent, []).append(key)
         frontier = list(chains)
@@ -604,18 +517,3 @@ class TaintEngine:
             end, uses = reach.get((sig, reg, d), (start, ()))
             facts.add(TaintFact(sig, reg, (start, end), self.sources[origin], chain, uses))
         return frozenset(facts)
-
-    def _build_result(self, converged: bool) -> TaintResult:
-        points = {}
-        for sig, body in self.solutions.items():
-            values = self._values(sig)
-            live = -1 if all(values) else sum(1 << a for a, v in enumerate(values) if v)
-            points[sig] = (body.points, live)
-        return TaintResult(
-            sources=self.sources,
-            iterations=self.iterations,
-            converged=converged,
-            _points=points,
-            _methods=self.cfgs.methods,
-            _build_facts=lambda: self._facts(list(points), converged),
-        )

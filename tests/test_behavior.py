@@ -1,6 +1,5 @@
 import pytest
 
-import devscan.taint
 from devscan import behavior
 from devscan.behavior import (
     Arm,
@@ -90,28 +89,27 @@ def test_sites_without_identifiers_stay_sites(device_db):
 )
 def test_reaching_definitions_once_per_method(device_db, monkeypatch, fid, expected):
     """The guard stage asks backward definition queries instead of solving
-    reaching definitions, and only in methods that can hold a site."""
+    reaching definitions, only in methods holding taint, and searches for
+    sites only in methods that can hold one."""
     run = corpus_run(fid)
-    queried, queries, solves = set(), [], []
-    real_defs, real_solve = CFG.defs, devscan.taint.solve_blocks
+    queried, searched = set(), []
+    real_defs, real_sites = CFG.defs, behavior.find_guard_sites
 
     def counted_defs(cfg, index, register):
         queried.add(cfg.method.signature)
-        queries.append((index, register))
         return real_defs(cfg, index, register)
 
-    def counted_solve(*args, **kwargs):
-        solves.append(args[0].method.signature)
-        return real_solve(*args, **kwargs)
+    def counted_sites(taint, cfg):
+        searched.append(cfg.method.signature)
+        return real_sites(taint, cfg)
 
     monkeypatch.setattr(CFG, "defs", counted_defs)
-    monkeypatch.setattr(devscan.taint, "solve_blocks", counted_solve)
+    monkeypatch.setattr(behavior, "find_guard_sites", counted_sites)
     find_device_guards(run.taint, run.cfgs, device_db)
     # multi_guard holds two sites in one method; in the others no if or
     # string comparison reads a tainted register
-    assert solves == []
-    assert len(queried) == expected
-    assert bool(queries) == bool(expected)
+    assert len(searched) == expected
+    assert queried <= {sig for sig in run.cfgs if run.taint.tainted_in(sig)}
 
 
 def test_site_filter_drops_no_site(all_fixture_ids):

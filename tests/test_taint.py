@@ -3,6 +3,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from devscan.fixtures import oracle_interpret
 from devscan.graphs import build_call_graph, build_cfg, build_cfgs
 from devscan.ir import INVOKE_OPCODES, MethodIR, Opcode, Program, written_register
 from devscan.smali import parse_smali_class
@@ -13,7 +14,6 @@ from devscan.taint import (
     Step,
     TaintEngine,
     find_sources,
-    solve_blocks,
 )
 from tests.conftest import corpus_run
 
@@ -22,31 +22,20 @@ def program_of(src: str):
     return Program((parse_smali_class(src),))
 
 
-# reference walks for CFG.paired, nops skipped; the dense reference transfer
+# reference walks for CFG.paired: a move-result reads only the instruction
+# right before it, a lowered nop included; the dense reference transfer
 # reads them too, so it stays independent of the table
 def feeding_invoke(method: MethodIR, mr_index: int) -> int | None:
     """Index of the invoke whose value a move-result consumes; mirror of result_register."""
     i = mr_index - 1
-    while i >= 0:
-        ins = method.instructions[i]
-        if ins.opcode is Opcode.NOP:
-            i -= 1
-            continue
-        return i if ins.opcode in INVOKE_OPCODES else None
-    return None
+    return i if i >= 0 and method.instructions[i].opcode in INVOKE_OPCODES else None
 
 
 def result_register(method: MethodIR, invoke_index: int) -> tuple[int, int] | None:
     """(index, register) of the move-result consuming an invoke's value."""
     i = invoke_index + 1
-    while i < len(method.instructions):
-        ins = method.instructions[i]
-        if ins.opcode is Opcode.MOVE_RESULT:
-            return i, ins.operands[0]
-        if ins.opcode is Opcode.NOP:
-            i += 1
-            continue
-        return None
+    if i < len(method.instructions) and method.instructions[i].opcode is Opcode.MOVE_RESULT:
+        return i, method.instructions[i].operands[0]
     return None
 
 
@@ -354,7 +343,7 @@ SEEDED_PASSES = {"oppo_perm": 2, "interproc_ret": 3, "deep_chain": 1, "zero_sour
 
 def test_fixpoint_idempotent(all_fixture_ids):
     """The seeded solve reaches the fixpoint, and the methods it never
-    passes are those nothing can taint."""
+    builds are those nothing can taint."""
     skipped = 0
     for fid in all_fixture_ids:
         if fid == "budget_bomb":
@@ -366,7 +355,7 @@ def test_fixpoint_idempotent(all_fixture_ids):
         points = result.per_point()
         assert points.keys() == {m.signature for m in run.program.methods() if m.has_body}, fid
         fact_methods = {f.method for f in result.facts}
-        for sig in points.keys() - engine.solutions.keys():
+        for sig in points.keys() - graph_state(engine)[0]:
             n = len(run.cfgs.methods[sig].instructions)
             assert points[sig] == {i: frozenset() for i in range(n)}, (fid, sig)
             assert sig not in fact_methods, (fid, sig)
@@ -384,7 +373,7 @@ def test_deterministic_results():
 
 
 def test_iteration_budget_flags_partial():
-    """A deadline passing before, between or inside body solves flags the
+    """A deadline passing before, between or after method builds flags the
     result partial."""
     run = corpus_run("interproc_ret")
     cuts = list(cut_solves(run.cfgs, run.call_graph, run.sources))
@@ -424,14 +413,14 @@ def test_taint_json_dump_shape():
     assert set(data) == {"method", "register", "valid_range", "origin", "chain", "uses"}
 
 
-# -- the solver against a dense reference ------------------------------------------
+# -- the engine against a dense reference ------------------------------------------
 #
-# The reference is the block solver as it was before states were shared:
-# predecessors sorted on every visit, the transfer run on every
-# instruction, which updates its state in place, and a fresh dict for every
-# point. Its taint transfer works on origin masks, walks back from each
-# move-result to its invoke and looks the call edge up on every visit, and
-# its fixpoint re-solves a whole body whenever the method's inputs change.
+# The reference solves whole bodies with a dense block solver: predecessors
+# sorted on every visit, the transfer run on every instruction, which
+# updates its state in place, and a fresh dict for every point. Its taint
+# transfer works on origin masks, walks back from each move-result to its
+# invoke and looks the call edge up on every visit, and its fixpoint
+# re-solves a whole body whenever the method's inputs change.
 
 def dense_solve(cfg, entry, transfer):
     instructions = cfg.method.instructions
@@ -466,9 +455,9 @@ def dense_define(ins, state):
         state[w] = frozenset([ins.index])
 
 
-def dense_taint_transfer(engine, sig):
-    method = engine.cfgs.methods[sig]
-    bits = {(src.method, src.index): 1 << i for i, src in enumerate(engine.sources)}
+def dense_taint_transfer(reference, sig):
+    method = reference.cfgs.methods[sig]
+    bits = {(src.method, src.index): 1 << i for i, src in enumerate(reference.sources)}
 
     def transfer(ins, state):
         if (w := written_register(ins)) is None:
@@ -482,9 +471,9 @@ def dense_taint_transfer(engine, sig):
             invoke = feeding_invoke(method, ins.index)
             if invoke is not None:
                 mask = bits.get((sig, invoke), 0)
-                edge = engine.call_graph.edge_at(sig, invoke)
+                edge = reference.call_graph.edge_at(sig, invoke)
                 if edge is not None and edge.resolved:
-                    mask |= engine.summaries.get(edge.callee, 0)
+                    mask |= reference.summaries.get(edge.callee, 0)
                 else:
                     for arg in method.instructions[invoke].operands:
                         mask |= state.get(arg, 0)
@@ -496,15 +485,9 @@ def dense_taint_transfer(engine, sig):
     return transfer
 
 
-def define(ins, state):
-    """The set-valued transfer: a write defines its own site."""
-    return frozenset([ins.index])
-
-
 class RePassReference:
-    """The engine's fixpoint as it was before bodies were solved once: a
-    method is re-solved with dense_solve whenever its entry masks or a
-    callee's summary change."""
+    """The fixpoint by whole-body passes: a method is re-solved with
+    dense_solve whenever its entry masks or a callee's summary change."""
 
     def __init__(self, cfgs, call_graph, sources):
         self.cfgs, self.call_graph, self.sources = cfgs, call_graph, tuple(sources)
@@ -557,13 +540,23 @@ class RePassReference:
         }
 
 
+def graph_state(engine):
+    """The built methods, their summaries and every method's entry masks,
+    read off the graph's return and entry nodes."""
+    built = {node for node in engine.masks if isinstance(node, str)}
+    entry = {}
+    for node, mask in engine.masks.items():
+        if not isinstance(node, str) and node[2] == ENTRY_DEF:
+            entry.setdefault(node[0], {})[node[1]] = mask
+    return built, {sig: engine.masks[sig] for sig in built}, entry
+
+
 def assert_fixpoint(engine, result):
-    """One more dense pass over every method, solved or not, from the
+    """One more dense pass over every method, built or not, from the
     engine's summaries and entry masks changes none of them and finds the
     engine's per-point taint."""
     reference = RePassReference(engine.cfgs, engine.call_graph, engine.sources)
-    reference.summaries = dict(engine.summaries)
-    reference.entry_facts = {sig: dict(regs) for sig, regs in engine.entry_facts.items()}
+    _, reference.summaries, reference.entry_facts = graph_state(engine)
     for sig in sorted(engine.cfgs):
         assert reference._apply_pass(sig) == [], sig
     assert reference.per_point() == result.per_point()
@@ -648,15 +641,6 @@ def _random_programs(draw):
 @given(_random_programs())
 @settings(max_examples=200, deadline=None)
 def test_solver_matches_dense_reference(program):
-    # every state is read only after the whole solve, so a write leaking
-    # into a state an earlier point shares shows as a difference
-    for method in program.methods():
-        cfg = build_cfg(method)
-        entry = {r: frozenset([ENTRY_DEF]) for r in method.param_registers()}
-        points, finished = solve_blocks(cfg, entry, define)
-        assert finished
-        assert [dict(s) for s in points] == dense_solve(cfg, entry, dense_define)
-
     cfgs, call_graph = build_cfgs(program), build_call_graph(program)
     sources = find_sources(program, cfgs)
     reference = RePassReference(cfgs, call_graph, sources)
@@ -667,8 +651,9 @@ def test_solver_matches_dense_reference(program):
     result = engine.solve()
     assert result.converged
     assert result.per_point() == expected
-    assert engine.solutions.keys() == reference.solutions.keys()
-    assert result.iterations == len(engine.solutions)
+    built = graph_state(engine)[0]
+    assert built == reference.solutions.keys()
+    assert result.iterations == len(built)
 
     # a solve the deadline cuts has found only what is true
     for cut in cut_solves(cfgs, call_graph, sources):
@@ -709,9 +694,24 @@ def test_pairing_matches_the_walks(program):
         assert build_cfg(method).paired == tuple(expected), method.signature
 
 
+@given(_random_programs())
+@settings(max_examples=200, deadline=None)
+def test_engine_contains_the_oracle(program):
+    """Every register the brute-force oracle taints at a point, the engine
+    taints there too. The two are not equal: the oracle unrolls each loop
+    only twice, and the engine also taints code no path from entry reaches."""
+    cfgs = build_cfgs(program)
+    sources = find_sources(program, cfgs)
+    points = TaintEngine(cfgs, build_call_graph(program), sources).solve().per_point()
+    for sig, regs_at in oracle_interpret(program, sources).items():
+        for i, regs in regs_at.items():
+            assert regs <= points[sig][i], (sig, i)
+
+
 def test_call_ring_solves_each_body_once():
     """Methods calling each other in a ring: each new origin reaching a
-    method once re-solved its body, and now only re-evaluates its atoms."""
+    method once re-solved its body, and now flows along its edges, which
+    are built once."""
     n = 5
     lines = [".class public Lt/Ring;", ".super Ljava/lang/Object;"]
     for k in range(n):
@@ -736,7 +736,7 @@ def test_call_ring_solves_each_body_once():
     engine = TaintEngine(cfgs, call_graph, sources)
     result = engine.solve()
     assert result.converged
-    assert len(engine.solutions) == n
+    assert len(graph_state(engine)[0]) == n
     assert result.iterations == n
     reference = RePassReference(cfgs, call_graph, sources)
     reference.solve()

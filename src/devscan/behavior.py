@@ -18,7 +18,7 @@ from .ir import (
     descriptor_to_dotted,
     package_of,
 )
-from .taint import TaintResult, def_closure, reaching_const_strings
+from .taint import TaintResult
 
 
 class ComparisonKind(str, Enum):
@@ -182,8 +182,7 @@ def find_guard_sites(taint: TaintResult, cfg: CFG) -> list[GuardSite]:
             continue
         site = None
         for reg in ins.operands:
-            defs = def_closure(cfg, ins.index, reg)
-            for d in sorted(x for x in defs if x >= 0):
+            for d in sorted(x for x in cfg.feeding(ins.index, reg) if x >= 0):
                 invoke_index = cfg.paired[d]  # a definition paired is a move-result
                 if invoke_index is None:
                     continue
@@ -225,10 +224,12 @@ def find_guard_sites(taint: TaintResult, cfg: CFG) -> list[GuardSite]:
 def collect_guard_strings(site: GuardSite, cfg: CFG) -> list[str]:
     """Const-strings semantically tied to the guard's condition.
 
-    Collects literals flowing into the comparison call's operands, plus
-    every literal defined in the site's basic block or in any block holding
-    a definition on the chain feeding the condition register. Every literal
-    comes from a const-string, so a method without one yields none.
+    Collects literals flowing into the comparison call's operands, then
+    every literal in the site's basic block or in a block holding a
+    definition on the chain: one worklist of ``cfg.feeding`` queries from
+    the condition register and the comparison's operands, where a paired
+    move-result adds its invoke and queues the invoke's operands. Every
+    literal comes from a const-string, so a method without one yields none.
     """
     if not cfg.has_const_string:
         return []
@@ -241,37 +242,26 @@ def collect_guard_strings(site: GuardSite, cfg: CFG) -> list[str]:
             seen.add(lit)
             out.append(lit)
 
-    chain_defs: set[int] = set()
-
-    def follow(index: int, reg: int) -> None:
-        work = [(index, reg)]
-        visited: set[tuple[int, int]] = set()
-        while work:
-            i, r = work.pop()
-            if (i, r) in visited:
-                continue
-            visited.add((i, r))
-            for d in cfg.defs(i, r):
-                if d == ENTRY_DEF or d in chain_defs:
-                    continue
-                chain_defs.add(d)
-                ins = method.instructions[d]
-                if ins.opcode is Opcode.MOVE:
-                    work.append((d, ins.operands[1]))
-                elif ins.opcode is Opcode.MOVE_RESULT:
-                    inv = cfg.paired[d]
-                    if inv is not None:
-                        chain_defs.add(inv)
-                        for arg in method.instructions[inv].operands:
-                            work.append((inv, arg))
-
+    work = [(site.branch_instruction, site.condition_register)]
     if site.comparison_call is not None:
         invoke = method.instructions[site.comparison_call]
         for arg in invoke.operands:
-            for lit in reaching_const_strings(cfg, invoke.index, arg):
+            for lit in cfg.literals(invoke.index, arg):
                 add(lit)
-            follow(invoke.index, arg)
-    follow(site.branch_instruction, site.condition_register)
+            work.append((invoke.index, arg))
+    chain_defs: set[int] = set()
+    asked: set[tuple[int, int]] = set()
+    while work:
+        query = work.pop()
+        if query in asked:
+            continue
+        asked.add(query)
+        for d in cfg.feeding(*query) - {ENTRY_DEF}:
+            chain_defs.add(d)
+            inv = cfg.paired[d]  # a definition paired is a move-result
+            if inv is not None and inv not in chain_defs:
+                chain_defs.add(inv)
+                work += [(inv, arg) for arg in method.instructions[inv].operands]
 
     blocks = {cfg.block_of[site.branch_instruction]}
     blocks |= {cfg.block_of[d] for d in chain_defs}

@@ -30,7 +30,10 @@ class CFG:
     ``pred[b]`` hold its neighbours in ascending order, one entry per edge;
     ``block_of[i]`` is the block of instruction i. Every stage reads the
     method's definitions through ``defs`` and its invoke/move-result pairs
-    through ``paired``, so each is computed once per method.
+    through ``paired``, so each is computed once per method. Taint builds
+    its value-flow edges on ``defs``; source keys, guard sites and guard
+    strings read ``feeding`` and ``literals``, the one backward query
+    through moves.
     """
 
     method: MethodIR
@@ -92,6 +95,30 @@ class CFG:
                         work.append(p)
             found = memo[(start, register)] = frozenset(defs)
         return found
+
+    def feeding(self, index: int, register: int) -> frozenset[int]:
+        """Every definition whose value reaches ``register`` at ``index``
+        through chains of moves: the moves themselves, the definitions they
+        copy, and ENTRY_DEF where a walk reaches method entry."""
+        code = self.method.instructions
+        found: set[int] = set()
+        work = [(index, register)]
+        while work:
+            for d in self.defs(*work.pop()):
+                if d not in found:
+                    found.add(d)
+                    if d != ENTRY_DEF and code[d].opcode is Opcode.MOVE:
+                        work.append((d, code[d].operands[1]))
+        return frozenset(found)
+
+    def literals(self, index: int, register: int) -> list[str]:
+        """The literals of the const-strings in ``feeding``, in code order."""
+        code = self.method.instructions
+        return [
+            code[d].literal or ""
+            for d in sorted(self.feeding(index, register))
+            if d != ENTRY_DEF and code[d].opcode is Opcode.CONST_STRING
+        ]
 
 
 def build_cfg(method: MethodIR) -> CFG:

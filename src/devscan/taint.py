@@ -19,7 +19,7 @@ from enum import Enum
 from functools import cached_property
 
 from .devicedb import DEFAULT_SOURCE_SPECS
-from .graphs import CFG, ENTRY_DEF, CallGraph, CFGMap
+from .graphs import ENTRY_DEF, CallGraph, CFGMap
 from .ir import INVOKE_OPCODES, Opcode, Program, read_registers
 
 UNKNOWN_KEY = "UNKNOWN_KEY"
@@ -84,40 +84,6 @@ class TaintFact:
 
 
 # ---------------------------------------------------------------------------
-# def-use chains from CFG.defs
-
-def def_closure(cfg: CFG, index: int, register: int) -> frozenset[int]:
-    """Non-move definition sites feeding (register, index) through move chains."""
-    code = cfg.method.instructions
-    result: set[int] = set()
-    work = [(index, register)]
-    seen: set[tuple[int, int]] = set()
-    while work:
-        i, r = work.pop()
-        if (i, r) in seen:
-            continue
-        seen.add((i, r))
-        for d in cfg.defs(i, r):
-            if d == ENTRY_DEF:
-                result.add(d)
-            elif code[d].opcode is Opcode.MOVE:
-                work.append((d, code[d].operands[1]))
-            else:
-                result.add(d)
-    return frozenset(result)
-
-
-def reaching_const_strings(cfg: CFG, index: int, register: int) -> list[str]:
-    """Literals of const-string definitions feeding (register, index)."""
-    literals = []
-    for d in sorted(d for d in def_closure(cfg, index, register) if d >= 0):
-        ins = cfg.method.instructions[d]
-        if ins.opcode is Opcode.CONST_STRING:
-            literals.append(ins.literal or "")
-    return literals
-
-
-# ---------------------------------------------------------------------------
 # source discovery
 
 def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
@@ -164,7 +130,7 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
             if ref.owner == SYSPROP_CLASS and ref.name == "get":
                 detail = UNKNOWN_KEY
                 if ins.operands:
-                    consts = reaching_const_strings(cfg, ins.index, ins.operands[0])
+                    consts = cfg.literals(ins.index, ins.operands[0])
                     if consts:
                         detail = consts[0]
                 sources.append(
@@ -178,7 +144,7 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
                 )
                 continue
             if ref.owner == CLASS_CLASS and ref.name == "forName" and ins.operands:
-                consts = reaching_const_strings(cfg, ins.index, ins.operands[0])
+                consts = cfg.literals(ins.index, ins.operands[0])
                 if SYSPROP_DOTTED in consts and mr is not None:
                     forname_results.add(mr)
                 continue
@@ -187,18 +153,17 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
                 and ref.name in ("getMethod", "getDeclaredMethod")
                 and len(ins.operands) >= 2
             ):
-                receiver_defs = def_closure(cfg, ins.index, ins.operands[0])
-                name_consts = reaching_const_strings(cfg, ins.index, ins.operands[1])
-                if receiver_defs & forname_results and "get" in name_consts and mr is not None:
+                receiver = cfg.feeding(ins.index, ins.operands[0])
+                name_consts = cfg.literals(ins.index, ins.operands[1])
+                if receiver & forname_results and "get" in name_consts and mr is not None:
                     getmethod_results.add(mr)
                 continue
             if ref.owner == REFLECT_METHOD_CLASS and ref.name == "invoke" and ins.operands:
-                receiver_defs = def_closure(cfg, ins.index, ins.operands[0])
-                if not (receiver_defs & getmethod_results):
+                if not (cfg.feeding(ins.index, ins.operands[0]) & getmethod_results):
                     continue
                 detail = UNKNOWN_KEY
                 for arg in ins.operands[1:]:
-                    consts = reaching_const_strings(cfg, ins.index, arg)
+                    consts = cfg.literals(ins.index, arg)
                     if consts:
                         detail = consts[0]
                         break

@@ -1,11 +1,13 @@
 from collections import deque
+from itertools import product
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from devscan.behavior import ComparisonKind, GuardSite, OperandSide, collect_guard_strings
 from devscan.fixtures import oracle_interpret
-from devscan.graphs import build_call_graph, build_cfg, build_cfgs
-from devscan.ir import INVOKE_OPCODES, MethodIR, Opcode, Program, written_register
+from devscan.graphs import CFG, build_call_graph, build_cfg, build_cfgs
+from devscan.ir import IF_OPCODES, INVOKE_OPCODES, MethodIR, Opcode, Program, written_register
 from devscan.smali import parse_smali_class
 from devscan.taint import (
     ENTRY_DEF,
@@ -37,6 +39,94 @@ def result_register(method: MethodIR, invoke_index: int) -> tuple[int, int] | No
     if i < len(method.instructions) and method.instructions[i].opcode is Opcode.MOVE_RESULT:
         return i, method.instructions[i].operands[0]
     return None
+
+
+# reference walks for CFG.feeding, CFG.literals and collect_guard_strings:
+# three separate walks over CFG.defs, each stating the move rule itself
+def def_closure(cfg: CFG, index: int, register: int) -> frozenset[int]:
+    """Non-move definition sites feeding (register, index) through move chains."""
+    code = cfg.method.instructions
+    result: set[int] = set()
+    work = [(index, register)]
+    seen: set[tuple[int, int]] = set()
+    while work:
+        i, r = work.pop()
+        if (i, r) in seen:
+            continue
+        seen.add((i, r))
+        for d in cfg.defs(i, r):
+            if d == ENTRY_DEF:
+                result.add(d)
+            elif code[d].opcode is Opcode.MOVE:
+                work.append((d, code[d].operands[1]))
+            else:
+                result.add(d)
+    return frozenset(result)
+
+
+def reaching_const_strings(cfg: CFG, index: int, register: int) -> list[str]:
+    """Literals of const-string definitions feeding (register, index)."""
+    literals = []
+    for d in sorted(d for d in def_closure(cfg, index, register) if d >= 0):
+        ins = cfg.method.instructions[d]
+        if ins.opcode is Opcode.CONST_STRING:
+            literals.append(ins.literal or "")
+    return literals
+
+
+def reference_guard_strings(site: GuardSite, cfg: CFG) -> list[str]:
+    """Literals reaching the comparison's operands, then those of every block
+    holding the site or a definition on the chains feeding it."""
+    if not cfg.has_const_string:
+        return []
+    method = cfg.method
+    out: list[str] = []
+    seen: set[str] = set()
+
+    def add(lit: str) -> None:
+        if lit not in seen:
+            seen.add(lit)
+            out.append(lit)
+
+    chain_defs: set[int] = set()
+
+    def follow(index: int, reg: int) -> None:
+        work = [(index, reg)]
+        visited: set[tuple[int, int]] = set()
+        while work:
+            i, r = work.pop()
+            if (i, r) in visited:
+                continue
+            visited.add((i, r))
+            for d in cfg.defs(i, r):
+                if d == ENTRY_DEF or d in chain_defs:
+                    continue
+                chain_defs.add(d)
+                ins = method.instructions[d]
+                if ins.opcode is Opcode.MOVE:
+                    work.append((d, ins.operands[1]))
+                elif ins.opcode is Opcode.MOVE_RESULT:
+                    inv = cfg.paired[d]
+                    if inv is not None:
+                        chain_defs.add(inv)
+                        for arg in method.instructions[inv].operands:
+                            work.append((inv, arg))
+
+    if site.comparison_call is not None:
+        invoke = method.instructions[site.comparison_call]
+        for arg in invoke.operands:
+            for lit in reaching_const_strings(cfg, invoke.index, arg):
+                add(lit)
+            follow(invoke.index, arg)
+    follow(site.branch_instruction, site.condition_register)
+
+    blocks = {cfg.block_of[site.branch_instruction]}
+    blocks |= {cfg.block_of[d] for d in chain_defs}
+    for bid in sorted(blocks):
+        for ins in cfg.instructions_of(bid):
+            if ins.opcode is Opcode.CONST_STRING:
+                add(ins.literal or "")
+    return out
 
 
 def engine_facts(program):
@@ -617,6 +707,8 @@ _statement = st.one_of(
               _reg, st.sampled_from(CALLEES), _reg),
     st.tuples(st.just("invoke-static {{v{}}}, {}\n    move-result-object v{}"),
               _reg, st.sampled_from(CALLEES), _reg),
+    st.tuples(st.just("invoke-virtual {{v{}, v{}}}, Ljava/lang/String;->equals(Ljava/lang/Object;)Z"
+                      "\n    move-result v{}"), _reg, _reg, _reg),
     st.tuples(st.sampled_from(["if-eqz v{}, :L{}", "if-nez v{}, :L{}"]), _reg, _label),
     st.tuples(st.just("goto :L{}"), _label),
     st.tuples(st.just("return-object v{}"), _reg),
@@ -692,6 +784,55 @@ def test_pairing_matches_the_walks(program):
                 partner = (result_register(method, ins.index) or (None,))[0]
             expected.append(partner)
         assert build_cfg(method).paired == tuple(expected), method.signature
+
+
+# with no comparison call given, the guard's strings include the block of
+# the literal in the comparison's second operand, which only the step from
+# the move-result into its invoke's operands finds
+TWO_OPERAND_GUARD = f"""
+.class public Lt/R;
+.super Ljava/lang/Object;
+.method public static m0{SIG}
+    .registers {REGS + 1}
+    const-string v1, "huawei"
+    if-eqz v3, :L0
+    :L0
+    invoke-virtual {{v0, v1}}, Ljava/lang/String;->equals(Ljava/lang/Object;)Z
+    move-result v2
+    if-eqz v2, :L1
+    :L1
+    return-object v0
+.end method
+"""
+
+
+@given(_random_programs())
+@example(program_of(TWO_OPERAND_GUARD))
+@settings(max_examples=200, deadline=None)
+def test_feeding_query_matches_the_walks(program):
+    """CFG.feeding less its moves is the non-move closure, CFG.literals
+    filters it as the old key lookup did, and collect_guard_strings gives
+    the old guard strings for every if, operand and comparison call."""
+    for method in program.methods():
+        cfg = build_cfg(method)
+        code = method.instructions
+        for i in range(len(code)):
+            for r in range(REGS + 2):
+                at = (method.signature, i, r)
+                feeding = cfg.feeding(i, r)
+                moves = {d for d in feeding if d >= 0 and code[d].opcode is Opcode.MOVE}
+                assert feeding - moves == def_closure(cfg, i, r), at
+                assert cfg.literals(i, r) == reaching_const_strings(cfg, i, r), at
+        calls = [None] + [ins.index for ins in code if ins.opcode in INVOKE_OPCODES]
+        for ins in code:
+            if ins.opcode not in IF_OPCODES:
+                continue
+            for reg, call in product(ins.operands, calls):
+                site = GuardSite(
+                    method.signature, ins.index, ComparisonKind.STRING_EQUALS,
+                    OperandSide.RECEIVER, reg, call,
+                )
+                assert collect_guard_strings(site, cfg) == reference_guard_strings(site, cfg), site
 
 
 @given(_random_programs())

@@ -7,11 +7,11 @@ import json
 from pathlib import Path
 
 # methods in the ring and registers in each method's loop chain; the
-# analysis cost grows linearly with the ring and faster than linearly with
-# the chain, and these sizes take about 9.5 s with no deadline on a 2-vCPU
-# x86 VM, almost 5x the fixture's 2 s budget
+# analysis cost grows with both, and these sizes take 7.3-7.8 s with no
+# deadline on a 2-vCPU x86 VM, over 3x the fixture's 2 s budget, so the
+# budget cuts the taint fixpoint
 N = 900
-CHAIN = 40
+CHAIN = 120
 OFFSETS = (1, 2, 3, 5, 8, 13, 21, 34)  # call targets per method
 FIELDS = ["BRAND", "DEVICE", "DISPLAY", "FINGERPRINT", "MANUFACTURER", "MODEL", "PRODUCT"]
 CLASS = "Lcom/fixtures/bomb/CallWeb;"
@@ -50,8 +50,8 @@ def method_body(i: int) -> str:
             "    move-object v1, v5",
         ]
     # the body loops back to :seeded, and each trip hands v1 one register
-    # further down the chain, so a pass of the method walks the loop about
-    # CHAIN + 2 times before its states settle
+    # further down the chain, so each method's value flow holds a path of
+    # CHAIN moves that every origin reaching the method travels
     chain = [f"v{6 + j}" for j in range(CHAIN)]
     lines += [f"    move-object {dst}, {src}" for src, dst in reversed(list(zip(chain, chain[1:])))]
     lines += [

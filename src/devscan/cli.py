@@ -46,6 +46,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive(kind):
+    """argparse type: a ``kind`` above 0 (so no NaN, and no int below 1)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = f"positive {kind.__name__}"
+    return parse
+
+
 def _emit_diagnostics(diagnostics) -> None:
     for diag in diagnostics:
         print(json.dumps(diag if isinstance(diag, dict) else diag.to_json_dict()), file=sys.stderr)
@@ -149,6 +162,8 @@ def _parse_manifest(path: Path) -> list[tuple[str, str, str | None, str]]:
         if len(parts) < 2:
             raise ValueError(f"{path} line {line_no}: expected app_id<TAB>smali_root")
         app_id, smali_root = parts[0], parts[1]
+        if not smali_root:
+            raise ValueError(f"{path} line {line_no}: empty smali_root")
         if app_id in ("", ".", "..") or "/" in app_id or "\\" in app_id:
             raise ValueError(f"{path} line {line_no}: bad app_id {app_id!r}, not a file name")
         if app_id in first_line:
@@ -283,7 +298,9 @@ def build_parser() -> _Parser:
     scan.add_argument("--db", help="device database CSV")
     scan.add_argument("--rules", help="classification rule file")
     scan.add_argument("--packer-signatures", help="packer signature TSV")
-    scan.add_argument("--timeout", type=float, default=3600.0, help="wall-clock budget in seconds")
+    scan.add_argument(
+        "--timeout", type=_positive(float), default=3600.0, help="wall-clock budget in seconds"
+    )
     scan.add_argument("--out", help="write the report JSON here instead of stdout")
     scan.add_argument("--app-id")
     scan.add_argument("--market", default="default")
@@ -297,10 +314,10 @@ def build_parser() -> _Parser:
     batch = sub.add_parser("batch", help="analyze many apps from a TSV manifest")
     batch.add_argument("manifest", help="rows: app_id<TAB>smali_root[<TAB>apk[<TAB>market]]")
     batch.add_argument("--out-dir", required=True)
-    batch.add_argument("--jobs", type=int, default=1)
+    batch.add_argument("--jobs", type=_positive(int), default=1)
     batch.add_argument("--db")
     batch.add_argument("--rules")
-    batch.add_argument("--timeout", type=float, default=3600.0)
+    batch.add_argument("--timeout", type=_positive(float), default=3600.0)
     batch.set_defaults(func=cmd_batch)
 
     agg = sub.add_parser("aggregate", help="merge per-app reports into per-market corpus tables")

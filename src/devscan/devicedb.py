@@ -12,17 +12,6 @@ class DeviceDbError(ValueError):
     pass
 
 
-BUILD_FIELDS = (
-    "BRAND",
-    "DEVICE",
-    "DISPLAY",
-    "FINGERPRINT",
-    "MANUFACTURER",
-    "MODEL",
-    "PRODUCT",
-)
-
-
 @dataclass(frozen=True)
 class SourceSpec:
     build_field: str
@@ -41,6 +30,7 @@ DEFAULT_SOURCE_SPECS: tuple[SourceSpec, ...] = (
     SourceSpec("PRODUCT", "ro.product.name", "Name of the Overall Product"),
 )
 
+BUILD_FIELDS = tuple(s.build_field for s in DEFAULT_SOURCE_SPECS)
 _FIELD_TO_KEY = {s.build_field: s.property_key for s in DEFAULT_SOURCE_SPECS}
 
 

@@ -35,8 +35,6 @@ class FixtureManifest:
     description: str
     expect_status: str = "ok"
     expect_failure_reason: str | None = None
-    oracle_eligible: bool = True
-    budget_seconds: float | None = None
     apk_entries: list[str] = field(default_factory=list)
     expected_sources: list[dict] = field(default_factory=list)
     expected_guards: list[dict] = field(default_factory=list)

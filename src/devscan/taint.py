@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .devicedb import DEFAULT_SOURCE_SPECS
+from .devicedb import BUILD_FIELDS
 from .graphs import ENTRY_DEF, CallGraph, CFGMap
 from .ir import INVOKE_OPCODES, Opcode, Program, read_registers
 
@@ -89,13 +89,12 @@ class TaintFact:
 def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
     """Locate every device-information read in the program.
 
-    Reports Build field reads of the DEFAULT_SOURCE_SPECS fields, direct
+    Reports reads of the Build fields in BUILD_FIELDS, direct
     SystemProperties.get invokes, and the reflective
     Class.forName / getMethod("get") / Method.invoke pattern when all three
     pieces sit in one method body. Property keys are recovered from
     const-strings reaching the call, otherwise UNKNOWN_KEY.
     """
-    wanted_fields = {s.build_field for s in DEFAULT_SOURCE_SPECS}
     sources: list[DeviceInfoSource] = []
     for method in program.methods():
         if not method.has_body:
@@ -107,7 +106,7 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
             if ins.opcode is Opcode.SGET_OBJECT:
                 ref = ins.field_ref
                 assert ref is not None
-                if ref.owner == BUILD_CLASS and ref.name in wanted_fields:
+                if ref.owner == BUILD_CLASS and ref.name in BUILD_FIELDS:
                     sources.append(
                         DeviceInfoSource(
                             kind=SourceKind.BUILD_FIELD_READ,

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from devscan import fixtures as corpus
@@ -29,6 +32,22 @@ def corpus_run(fixture_id: str) -> CorpusRun:
     if fixture_id not in _runs:
         _runs[fixture_id] = CorpusRun(corpus.load_fixture(fixture_id))
     return _runs[fixture_id]
+
+
+def load_script(relpath: str):
+    """Import a script of this repository that is not in a package, by path."""
+    path = Path(__file__).resolve().parents[1] / relpath
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def budget_bomb(tmp_path_factory):
+    """Smali root of the generated budget_bomb app, written once per session."""
+    generator = load_script("tools/gen_budget_bomb.py")
+    return generator.generate(tmp_path_factory.mktemp("budget_bomb"))
 
 
 @pytest.fixture(scope="session")

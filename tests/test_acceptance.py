@@ -28,13 +28,6 @@ from tests.conftest import corpus_run
 from tests.test_graphs import _oracle_ipdoms
 from tests.test_taint import assert_fixpoint
 
-HEAVY_FIXTURES = {"budget_bomb"}
-
-
-def corpus_ids():
-    return [fid for fid in list_fixture_ids() if fid not in HEAVY_FIXTURES]
-
-
 def test_c1_fig2_end_to_end(device_db, rules):
     """oppo_perm: exactly one guard (string_equals on "oppo"), one snippet
     reaching exactly oppoApi, classified Permission Management, under 1s."""
@@ -90,14 +83,12 @@ def test_c3_property_key_table_exact():
 
 def test_c4_oracle_equivalence_across_corpus():
     """Engine and brute-force interpreter agree at every program point of
-    every oracle-eligible fixture; at least 20 fixtures, under 30s."""
+    every corpus fixture; at least 20 fixtures, under 30s."""
     started = time.monotonic()
-    eligible = [
-        fid for fid in corpus_ids() if load_fixture(fid).manifest.oracle_eligible
-    ]
-    assert len(eligible) >= 20
+    fixture_ids = list_fixture_ids()
+    assert len(fixture_ids) >= 20
     mismatches = []
-    for fid in eligible:
+    for fid in fixture_ids:
         run = corpus_run(fid)
         assert sum(len(m.instructions) for m in run.program.methods()) <= 300, fid
         trace = oracle_interpret(run.program, run.sources)
@@ -115,7 +106,7 @@ def test_c4_oracle_equivalence_across_corpus():
 
 def test_c5_fixture_recall_and_precision(device_db):
     """Every annotated guard is reported and nothing else is (1.0 / 1.0)."""
-    for fid in corpus_ids():
+    for fid in list_fixture_ids():
         run = corpus_run(fid)
         guards = find_device_guards(run.taint, run.cfgs, device_db)
         got = sorted((g.site.method, g.site.branch_instruction) for g in guards)
@@ -185,7 +176,7 @@ def test_c7_invariant_suite(device_db, rules):
                 assert regs <= run.taint.per_point()[sig][i]
 
     # fixpoint idempotence
-    for fid in corpus_ids():
+    for fid in list_fixture_ids():
         run = corpus_run(fid)
         engine = TaintEngine(run.cfgs, run.call_graph, run.sources)
         result = engine.solve()
@@ -194,7 +185,7 @@ def test_c7_invariant_suite(device_db, rules):
 
     # region termination and arm disjointness
     all_snippets = []
-    for fid in corpus_ids():
+    for fid in list_fixture_ids():
         run = corpus_run(fid)
         total_methods = sum(1 for _ in run.program.methods())
         for guard in find_device_guards(run.taint, run.cfgs, device_db):
@@ -256,11 +247,11 @@ def test_c7_invariant_suite(device_db, rules):
         assert _ipdoms_from_edges(n, succs, exits) == _oracle_ipdoms(n, succs, exits)
 
 
-def test_c8_budget_behavior(device_db, rules):
+def test_c8_budget_behavior(budget_bomb, device_db, rules):
     """The pathological call web blows a 2s budget and still produces a
     well-formed partial report."""
     report = analyze_app(
-        corpus_root() / "budget_bomb" / "smali",
+        budget_bomb,
         db=device_db,
         rules=rules,
         budgets=Budgets(wall_clock_seconds=2.0),

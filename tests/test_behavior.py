@@ -116,8 +116,6 @@ def test_site_filter_drops_no_site(all_fixture_ids):
     """The methods find_device_guards skips hold no guard site."""
     found = 0
     for fid in all_fixture_ids:
-        if fid == "budget_bomb":
-            continue
         run, sites = guard_sites_of(fid)
         assert sites_in(run, run.cfgs) == sites, fid
         found += len(sites)
@@ -267,8 +265,6 @@ def test_region_of_large_method(tmp_path, device_db):
 
 def test_arms_disjoint_across_corpus(device_db, all_fixture_ids):
     for fid in all_fixture_ids:
-        if fid == "budget_bomb":
-            continue
         run = corpus_run(fid)
         for guard in find_device_guards(run.taint, run.cfgs, device_db):
             snippet = extract_region(guard, run.cfgs, run.call_graph)
@@ -287,8 +283,6 @@ def test_arms_disjoint_across_corpus(device_db, all_fixture_ids):
 
 def test_reachable_bounded_by_program(device_db, all_fixture_ids):
     for fid in all_fixture_ids:
-        if fid == "budget_bomb":
-            continue
         run = corpus_run(fid)
         total = sum(1 for _ in run.program.methods())
         for guard in find_device_guards(run.taint, run.cfgs, device_db):
@@ -299,8 +293,6 @@ def test_reachable_bounded_by_program(device_db, all_fixture_ids):
 def test_every_guard_has_provenance(device_db, all_fixture_ids):
     """No guard without a recorded taint fact reaching its condition."""
     for fid in all_fixture_ids:
-        if fid == "budget_bomb":
-            continue
         run = corpus_run(fid)
         for guard in find_device_guards(run.taint, run.cfgs, device_db):
             site = guard.site

@@ -50,8 +50,8 @@ def test_scan_packed_apk(tmp_path, capsys):
     assert code == 2
 
 
-def test_scan_timeout_exit_code(capsys):
-    code = main(["scan", smali_root("budget_bomb"), "--timeout", "2"])
+def test_scan_timeout_exit_code(budget_bomb, capsys):
+    code = main(["scan", str(budget_bomb), "--timeout", "2"])
     assert code == 3
 
 
@@ -143,6 +143,35 @@ def test_usage_error_exits_1(capsys):
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("scan", "--timeout", "nan"),
+        ("scan", "--timeout", "0"),
+        ("scan", "--timeout", "-5"),
+        ("batch", "--timeout", "nan"),
+        ("batch", "--timeout", "0"),
+        ("batch", "--jobs", "0"),
+        ("batch", "--jobs", "-3"),
+    ],
+)
+def test_out_of_range_number_is_usage_error(tmp_path, capsys, command, option, value):
+    """A budget must be above 0 and a pool needs a worker: NaN would never
+    run out, and 0 or below would start out of time or quietly run serially."""
+    argv = [command, str(tmp_path / "input"), option, value]
+    if command == "batch":
+        argv += ["--out-dir", str(tmp_path / "reports")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    assert f"argument {option}: invalid positive" in capsys.readouterr().err
+
+
+def test_timeout_may_be_inf():
+    args = devscan.cli.build_parser().parse_args(["scan", "app", "--timeout", "inf"])
+    assert args.timeout == float("inf")
+
+
 def test_batch_and_aggregate(tmp_path, capsys):
     manifest = tmp_path / "manifest.tsv"
     manifest.write_text(
@@ -173,8 +202,9 @@ def test_batch_parallel(tmp_path, capsys):
     assert len(list(out_dir.glob("*.json"))) == 2
 
 
-@pytest.mark.parametrize("bad_id", ["a/b", "../x", "a\\b", ".", "..", "good"])
-def test_batch_rejects_bad_app_id_before_any_row(tmp_path, capsys, monkeypatch, bad_id):
+def _assert_batch_rejects_second_row(tmp_path, capsys, monkeypatch, row, message):
+    """A batch whose second manifest row is ``row`` exits 2 with ``message``
+    before it analyzes any row."""
     analyzed = []
     real = devscan.cli.analyze_app
 
@@ -184,15 +214,24 @@ def test_batch_rejects_bad_app_id_before_any_row(tmp_path, capsys, monkeypatch, 
 
     monkeypatch.setattr(devscan.cli, "analyze_app", recording)
     manifest = tmp_path / "manifest.tsv"
-    manifest.write_text(
-        f"good\t{smali_root('zero_sources')}\n" f"{bad_id}\t{smali_root('zero_sources')}\n",
-        encoding="utf-8",
-    )
+    manifest.write_text(f"good\t{smali_root('zero_sources')}\n{row}\n", encoding="utf-8")
     out_dir = tmp_path / "reports"
     assert main(["batch", str(manifest), "--out-dir", str(out_dir)]) == 2
-    assert f"{manifest} line 2: bad app_id" in capsys.readouterr().err
+    assert f"{manifest} line 2: {message}" in capsys.readouterr().err
     assert analyzed == []
     assert list(tmp_path.rglob("*.json")) == []
+
+
+@pytest.mark.parametrize("bad_id", ["a/b", "../x", "a\\b", ".", "..", "good"])
+def test_batch_rejects_bad_app_id_before_any_row(tmp_path, capsys, monkeypatch, bad_id):
+    row = f"{bad_id}\t{smali_root('zero_sources')}"
+    _assert_batch_rejects_second_row(tmp_path, capsys, monkeypatch, row, "bad app_id")
+
+
+def test_batch_rejects_empty_smali_root_before_any_row(tmp_path, capsys, monkeypatch):
+    """An empty smali_root would otherwise scan the working directory."""
+    row = "app\t\t\tmarketX"
+    _assert_batch_rejects_second_row(tmp_path, capsys, monkeypatch, row, "empty smali_root")
 
 
 def test_batch_row_crash_fails_only_that_row(tmp_path, capsys, monkeypatch):

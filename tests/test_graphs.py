@@ -76,8 +76,6 @@ def test_goto_back_makes_cycle():
 
 def test_blocks_partition_instructions(all_fixture_ids):
     for fid in all_fixture_ids:
-        if fid == "budget_bomb":
-            continue
         for sig, cfg in corpus_run(fid).cfgs.items():
             seen = []
             for b in cfg.blocks:
@@ -87,8 +85,6 @@ def test_blocks_partition_instructions(all_fixture_ids):
 
 def test_edge_count_bound(all_fixture_ids):
     for fid in all_fixture_ids:
-        if fid == "budget_bomb":
-            continue
         for cfg in corpus_run(fid).cfgs.values():
             assert len(cfg.edges) <= 2 * len(cfg.blocks)
 
@@ -97,8 +93,6 @@ def test_conditional_blocks_have_two_successors(all_fixture_ids):
     from devscan.ir import IF_OPCODES
 
     for fid in all_fixture_ids:
-        if fid == "budget_bomb":
-            continue
         for cfg in corpus_run(fid).cfgs.values():
             for bid, b in enumerate(cfg.blocks):
                 last = cfg.method.instructions[b[-1]]
@@ -135,8 +129,6 @@ def test_every_invoke_has_exactly_one_edge(all_fixture_ids):
     from devscan.ir import INVOKE_OPCODES
 
     for fid in all_fixture_ids:
-        if fid == "budget_bomb":
-            continue
         run = corpus_run(fid)
         invokes = sum(
             1

@@ -21,7 +21,7 @@ def test_oracle_matches_hand_traces(all_fixture_ids):
     traced = 0
     for fid in all_fixture_ids:
         run_manifest = load_fixture(fid).manifest
-        if not run_manifest.oracle_trace or not run_manifest.oracle_eligible:
+        if not run_manifest.oracle_trace:
             continue
         run = corpus_run(fid)
         trace = oracle_interpret(run.program, run.sources)

@@ -1,8 +1,6 @@
 import gc
-import importlib.util
 import json
 import zipfile
-from pathlib import Path
 
 import pytest
 
@@ -23,6 +21,7 @@ from devscan.report import (
     save_report,
     sdk_prefixes_default,
 )
+from tests.conftest import load_script
 
 
 def smali_root(fid):
@@ -89,9 +88,9 @@ def test_missing_root_fails(tmp_path, device_db, rules):
     assert "missing" in report.failure_reason
 
 
-def test_budget_exhaustion_partial(device_db, rules):
+def test_budget_exhaustion_partial(budget_bomb, device_db, rules):
     report = analyze_app(
-        smali_root("budget_bomb"),
+        budget_bomb,
         db=device_db,
         rules=rules,
         budgets=Budgets(wall_clock_seconds=2.0),
@@ -106,11 +105,7 @@ def test_budget_exhaustion_partial(device_db, rules):
 
 def _call_web(seed, out):
     """Write the benchmark's call_web app for ``seed`` under ``out``."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen_call_web.py"
-    spec = importlib.util.spec_from_file_location("gen_call_web", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    module.generate(seed, out)
+    load_script("perfbench/gen_call_web.py").generate(seed, out)
     return out / "smali"
 
 
@@ -139,14 +134,12 @@ BAD_CLASS = """\
 """
 
 
-def test_analysis_leaves_no_cyclic_garbage(tmp_path, device_db, rules):
+def test_analysis_leaves_no_cyclic_garbage(tmp_path, budget_bomb, device_db, rules):
     """Reference counting frees everything an analysis allocates, which is
     what lets analyze_app pause the cyclic collector: with every unreachable
     object saved, a collection after the runs finds none."""
-    runs = [
-        (smali_root(fid), {"budgets": Budgets(wall_clock_seconds=0.3)} if fid == "budget_bomb" else {})
-        for fid in list_fixture_ids()
-    ]
+    runs = [(smali_root(fid), {}) for fid in list_fixture_ids()]
+    runs.append((budget_bomb, {"budgets": Budgets(wall_clock_seconds=0.3)}))
     read = []
 
     def on_taint(taint):
@@ -207,8 +200,6 @@ def test_reports_match_fixture_annotations(device_db, rules):
     annotated snippet's categories, arm and reachable methods, where the
     manifest gives them, are what the report says."""
     for fid in list_fixture_ids():
-        if fid == "budget_bomb":
-            continue
         manifest = load_fixture(fid).manifest
         report = analyze_app(smali_root(fid), db=device_db, rules=rules)
         snippets = {(s["guard"]["method"], s["guard"]["index"]): s for s in report.snippets}

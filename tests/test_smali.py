@@ -539,12 +539,7 @@ def test_branch_targets_inside_method(all_fixture_ids):
     from tests.conftest import corpus_run
 
     for fid in all_fixture_ids:
-        program = corpus_run(fid).program if fid != "budget_bomb" else None
-        if program is None:
-            from devscan import fixtures as corpus
-
-            program = corpus.load_fixture(fid).load()
-        for method in program.methods():
+        for method in corpus_run(fid).program.methods():
             for ins in method.instructions:
                 if ins.branch_target is not None:
                     assert 0 <= ins.branch_target < len(method.instructions)
@@ -554,8 +549,6 @@ def test_corpus_roundtrip(all_fixture_ids):
     from tests.conftest import corpus_run
 
     for fid in all_fixture_ids:
-        if fid == "budget_bomb":
-            continue
         for cls in corpus_run(fid).program.classes:
             assert parse_smali_class(print_smali_class(cls)) == cls
 

@@ -385,8 +385,6 @@ def test_fact_chains_well_formed(all_fixture_ids):
     returns = {Step.LIB_RETURN, Step.CALLEE_RETURN, Step.CALLER_RETURN}
     checked = 0
     for fid in all_fixture_ids:
-        if fid == "budget_bomb":
-            continue
         run = corpus_run(fid)
         for fact in run.taint.facts:
             method = run.cfgs[fact.method].method
@@ -436,8 +434,6 @@ def test_fixpoint_idempotent(all_fixture_ids):
     builds are those nothing can taint."""
     skipped = 0
     for fid in all_fixture_ids:
-        if fid == "budget_bomb":
-            continue
         run = corpus_run(fid)
         engine = TaintEngine(run.cfgs, run.call_graph, run.sources)
         result = engine.solve()
@@ -476,8 +472,6 @@ def test_deadline_cut_never_reads_converged(all_fixture_ids):
     true, and a result that reads converged is the whole solution."""
     cut = 0
     for fid in all_fixture_ids:
-        if fid == "budget_bomb":
-            continue
         run = corpus_run(fid)
         full = run.taint.per_point()
         full_keys = {(f.method, f.register, f.valid_range[0], f.origin) for f in run.taint.facts}

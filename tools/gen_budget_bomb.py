@@ -1,22 +1,27 @@
 #!/usr/bin/env python3
-"""Regenerate the budget_bomb fixture: a dense ring of methods shuttling
-device-information values around so the taint fixpoint outlives a small
-wall-clock budget. Run from the repository root."""
+"""Deterministic generator for the `budget_bomb` app.
 
-import json
+Writes one class: a dense ring of methods shuttling device-information
+values around so the taint fixpoint outlives a small wall-clock budget.
+The budget tests write it once per session (see `tests/conftest.py`).
+
+    python3 tools/gen_budget_bomb.py --out budget_bomb
+"""
+
+from __future__ import annotations
+
+import argparse
 from pathlib import Path
 
 # methods in the ring and registers in each method's loop chain; the
 # analysis cost grows with both, and these sizes take 7.3-7.8 s with no
-# deadline on a 2-vCPU x86 VM, over 3x the fixture's 2 s budget, so the
+# deadline on a 2-vCPU x86 VM, over 3x the tests' 2 s budget, so the
 # budget cuts the taint fixpoint
 N = 900
 CHAIN = 120
 OFFSETS = (1, 2, 3, 5, 8, 13, 21, 34)  # call targets per method
 FIELDS = ["BRAND", "DEVICE", "DISPLAY", "FINGERPRINT", "MANUFACTURER", "MODEL", "PRODUCT"]
 CLASS = "Lcom/fixtures/bomb/CallWeb;"
-
-OUT = Path(__file__).resolve().parent.parent / "src/devscan/fixtures/corpus/budget_bomb"
 
 
 def method_body(i: int) -> str:
@@ -64,30 +69,21 @@ def method_body(i: int) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:
-    smali_dir = OUT / "smali"
+def generate(out: Path) -> Path:
+    """Write `smali/CallWeb.smali` under `out`; return the smali root."""
+    smali_dir = out / "smali"
     smali_dir.mkdir(parents=True, exist_ok=True)
     parts = [f".class public {CLASS}", ".super Ljava/lang/Object;", ""]
     parts += [method_body(i) for i in range(N)]
     (smali_dir / "CallWeb.smali").write_text("\n".join(parts), encoding="utf-8")
+    return smali_dir
 
-    manifest = {
-        "fixture_id": "budget_bomb",
-        "description": (
-            "Pathological call web: a ring of methods that pass and return "
-            "device strings through each other until the analysis budget runs out."
-        ),
-        "expect_status": "partial_timeout",
-        "budget_seconds": 2.0,
-        "oracle_eligible": False,
-        "expected_sources": [],
-        "expected_guards": [],
-        "expected_snippets": [],
-    }
-    (OUT / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {smali_dir / 'CallWeb.smali'}")
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    generate(args.out)
 
 
 if __name__ == "__main__":

@@ -161,7 +161,12 @@ def _tainted_side(
 def _may_hold_sites(taint: TaintResult, sig: str, cfg: CFG) -> bool:
     # every site needs an if, and an if or string comparison reading taint
     m = cfg.method
-    reads = [i for i in m.instructions if i.opcode in IF_OPCODES or _comparison_invoke(m, i.index)]
+    reads = [
+        i
+        for i in m.instructions
+        if (op := i.opcode) in IF_OPCODES
+        or (op in INVOKE_OPCODES and _comparison_invoke(m, i.index))
+    ]
     return any(i.opcode in IF_OPCODES for i in reads) and any(
         taint.tainted(sig, i.index, r) for i in reads for r in i.operands
     )
@@ -273,15 +278,26 @@ def collect_guard_strings(site: GuardSite, cfg: CFG) -> list[str]:
 
 
 def confirm_device_guard(
-    site: GuardSite, strings: list[str], db: DeviceInfoDB
+    site: GuardSite,
+    strings: list[str],
+    db: DeviceInfoDB,
+    memo: dict[str, list[IdentifierMatch]] | None = None,
 ) -> DeviceGuard | None:
-    """Promote a site to a DeviceGuard when a guard string names a device."""
+    """Promote a site to a DeviceGuard when a guard string names a device.
+
+    ``memo`` maps the strings already matched against ``db`` to their
+    matches; a string missing from it is matched and added.
+    """
+    memo = {} if memo is None else memo
     matches: list[IdentifierMatch] = []
     seen: set[IdentifierMatch] = set()
     for s in strings:
         if not s:
             continue
-        for m in match_identifier(s, db):
+        found = memo.get(s)
+        if found is None:
+            found = memo[s] = match_identifier(s, db)
+        for m in found:
             if m not in seen:
                 seen.add(m)
                 matches.append(m)
@@ -366,34 +382,40 @@ def extract_region(
     invoked_names: list[str] = []
     types: list[str] = []
 
-    def scan(instructions, owner_sig: str) -> list[str]:
+    # enum members read once: each read of one costs a class attribute lookup
+    const_string, new_instance = Opcode.CONST_STRING, Opcode.NEW_INSTANCE
+    field_reads = (Opcode.SGET_OBJECT, Opcode.IGET_OBJECT)
+    target = call_graph.target
+
+    def scan(instructions) -> list[str]:
         new_callees = []
         for ins in instructions:
-            if ins.opcode is Opcode.CONST_STRING:
+            op = ins.opcode
+            if op is const_string:
                 literals.append(ins.literal or "")
-            elif ins.opcode is Opcode.NEW_INSTANCE and ins.type_ref:
+            elif op is new_instance and ins.type_ref:
                 types.append(descriptor_to_dotted(ins.type_ref))
-            elif ins.opcode is Opcode.SGET_OBJECT or ins.opcode is Opcode.IGET_OBJECT:
+            elif op in field_reads:
                 if ins.field_ref:
                     types.append(descriptor_to_dotted(ins.field_ref.owner))
-            elif ins.opcode in INVOKE_OPCODES and ins.method_ref:
-                edge = call_graph.edge_at(owner_sig, ins.index)
+            elif op in INVOKE_OPCODES and ins.method_ref:
                 ref = ins.method_ref
                 invoked_names.append(f"{descriptor_to_dotted(ref.owner)}.{ref.name}")
-                if edge is not None and edge.resolved:
-                    new_callees.append(edge.callee)
+                callee, resolved = target(ref)
+                if resolved:
+                    new_callees.append(callee)
                 else:
                     system.add(ref.signature)
         return new_callees
 
-    work = deque(scan(region_instructions, site.method))
+    work = deque(scan(region_instructions))
     while work:
         callee = work.popleft()
         if callee in reachable:
             continue
         reachable.add(callee)
         if callee in cfgs.methods:
-            work.extend(scan(cfgs.methods[callee].instructions, callee))
+            work.extend(scan(cfgs.methods[callee].instructions))
 
     packages = {package_of(method.owner)}
     packages.update(package_of(sig.split("->", 1)[0]) for sig in reachable)
@@ -419,14 +441,16 @@ def find_device_guards(
 ) -> list[DeviceGuard]:
     """find_guard_sites + collect_guard_strings + confirm_device_guard, one
     method at a time. Methods where no if or comparison reads a tainted
-    register are skipped, and an untainted one before its CFG is built."""
+    register are skipped, and an untainted one before its CFG is built.
+    Each distinct guard string is matched against ``db`` once per call."""
     guards: list[DeviceGuard] = []
+    matched: dict[str, list[IdentifierMatch]] = {}
     for sig in sorted(cfgs):
         if not taint.tainted_in(sig) or not _may_hold_sites(taint, sig, cfg := cfgs[sig]):
             continue
         for site in find_guard_sites(taint, cfg):
             strings = collect_guard_strings(site, cfg)
-            guard = confirm_device_guard(site, strings, db)
+            guard = confirm_device_guard(site, strings, db, matched)
             if guard is not None:
                 guards.append(guard)
     return guards

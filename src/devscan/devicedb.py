@@ -76,7 +76,12 @@ def _tokens(canon_text: str) -> set[str]:
 
 
 class DeviceInfoDB:
-    """Identifier sets with canonical (casefolded) keys, originals retained."""
+    """Identifier sets with canonical (casefolded) keys, originals retained.
+
+    The groups are read once, at construction, into each kind's
+    (canonical, original) pairs sorted by canonical key, the order in which
+    :func:`match_identifier` scans and reports them.
+    """
 
     def __init__(
         self,
@@ -90,6 +95,9 @@ class DeviceInfoDB:
         self.models = models
         self.overlap_whitelist = overlap_whitelist
         self._validate()
+        self._sorted: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = tuple(
+            (kind, tuple(sorted(self.entries(kind).items()))) for kind in IdentifierKind.ALL
+        )
 
     def _validate(self) -> None:
         groups = {
@@ -193,10 +201,8 @@ def match_identifier(candidate: str, db: DeviceInfoDB) -> list[IdentifierMatch]:
     cand = _canon(candidate)
     tokens = _tokens(cand)
     out: list[IdentifierMatch] = []
-    for kind in IdentifierKind.ALL:
-        entries = db.entries(kind)
-        for canon in sorted(entries):
-            original = entries[canon]
+    for kind, items in db._sorted:
+        for canon, original in items:
             if canon == cand:
                 out.append(IdentifierMatch(cand, kind, original, MatchMode.EXACT_TOKEN))
             elif canon in tokens:

@@ -7,7 +7,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
 
-from .ir import IF_OPCODES, INVOKE_OPCODES, MethodIR, MethodRef, Opcode, Program, written_register
+from .ir import (
+    IF_OPCODES,
+    INVOKE_OPCODES,
+    RETURN_OPCODES,
+    MethodIR,
+    MethodRef,
+    Opcode,
+    Program,
+    written_register,
+)
 
 # synthetic exit node joining all return blocks
 EXIT = -1
@@ -131,20 +140,30 @@ def build_cfg(method: MethodIR) -> CFG:
         raise ValueError(f"{method.signature}: no body to build a CFG from")
     instructions = method.instructions
     n = len(instructions)
+    # enum members read once: each read of one costs a class attribute lookup
+    goto, move_result, const_string = Opcode.GOTO, Opcode.MOVE_RESULT, Opcode.CONST_STRING
     leaders = {0}
-    for ins in instructions:
-        if ins.branch_target is not None:
-            leaders.add(ins.branch_target)
-            if ins.index + 1 < n:
-                leaders.add(ins.index + 1)
-        elif ins.is_return() and ins.index + 1 < n:
-            leaders.add(ins.index + 1)
-    for ins in instructions:
-        if ins.branch_target is not None and not 0 <= ins.branch_target < n:
-            raise RuntimeError(
-                f"internal: {method.signature} branch target {ins.branch_target} "
-                f"outside body (frontend should have rejected this)"
-            )
+    paired: list[int | None] = [None] * n
+    has_const_string = False
+    for i, ins in enumerate(instructions):
+        op, target = ins.opcode, ins.branch_target
+        if target is not None:
+            if not 0 <= target < n:
+                raise RuntimeError(
+                    f"internal: {method.signature} branch target {target} "
+                    f"outside body (frontend should have rejected this)"
+                )
+            leaders.add(target)
+            if i + 1 < n:
+                leaders.add(i + 1)
+        elif op in RETURN_OPCODES:
+            if i + 1 < n:
+                leaders.add(i + 1)
+        elif op is move_result:
+            if i and instructions[i - 1].opcode in INVOKE_OPCODES:
+                paired[i - 1], paired[i] = i, i - 1
+        elif op is const_string:
+            has_const_string = True
     starts = sorted(leaders)
     blocks = tuple(map(range, starts, [*starts[1:], n]))
     block_of = tuple(chain.from_iterable(repeat(bid, len(b)) for bid, b in enumerate(blocks)))
@@ -154,24 +173,20 @@ def build_cfg(method: MethodIR) -> CFG:
     edges: list[tuple[int, int, EdgeKind]] = []
     for bid, b in enumerate(blocks):
         last = instructions[b.stop - 1]
-        if last.opcode is Opcode.GOTO:
+        op = last.opcode
+        if op is goto:
             edges.append((bid, block_of[last.branch_target], EdgeKind.GOTO))
-        elif last.opcode in IF_OPCODES:
+        elif op in IF_OPCODES:
             edges.append((bid, block_of[last.branch_target], EdgeKind.BRANCH_TAKEN))
             if b.stop < n:
                 edges.append((bid, bid + 1, EdgeKind.FALLTHROUGH))
-        elif not last.is_return() and b.stop < n:
+        elif op not in RETURN_OPCODES and b.stop < n:
             edges.append((bid, bid + 1, EdgeKind.FALLTHROUGH))
     succ: list[list[int]] = [[] for _ in blocks]
     pred: list[list[int]] = [[] for _ in blocks]
     for src, dst, _ in edges:
         succ[src].append(dst)
         pred[dst].append(src)
-    paired: list[int | None] = [None] * n
-    for ins in instructions:
-        i = ins.index - 1
-        if ins.opcode is Opcode.MOVE_RESULT and i >= 0 and instructions[i].opcode in INVOKE_OPCODES:
-            paired[i], paired[ins.index] = ins.index, i
     return CFG(
         method=method,
         blocks=blocks,
@@ -181,7 +196,7 @@ def build_cfg(method: MethodIR) -> CFG:
         block_of=block_of,
         writes=tuple(map(written_register, instructions)),
         paired=tuple(paired),
-        has_const_string=any(i.opcode is Opcode.CONST_STRING for i in instructions),
+        has_const_string=has_const_string,
     )
 
 
@@ -261,23 +276,41 @@ class CallEdge:
     resolved: bool
 
 
-@dataclass
 class CallGraph:
-    edges: tuple[CallEdge, ...]
+    """Each distinct method reference's call target, resolved once.
 
-    def __post_init__(self) -> None:
-        self._out: dict[str, dict[int, CallEdge]] = {}
-        self._in: dict[str, list[CallEdge]] = {}
-        for e in self.edges:
-            self._out.setdefault(e.caller, {}).setdefault(e.call_index, e)
-            self._in.setdefault(e.callee, []).append(e)
+    ``target(ref)`` is the ``(callee, resolved)`` of every invoke naming
+    ``ref``: the resolved method's signature, or the reference's own when
+    it does not resolve to a body. ``callers(sig)`` lists the methods with
+    a call resolved to ``sig``, sorted. ``edges`` derives one
+    :class:`CallEdge` per invoke, in program order, on each access.
+    """
 
-    def edge_at(self, caller: str, call_index: int) -> CallEdge | None:
-        """The edge of the invoke at `call_index` in `caller`, if any."""
-        return self._out.get(caller, {}).get(call_index)
+    def __init__(
+        self,
+        program: Program,
+        targets: dict[MethodRef, tuple[str, bool]],
+        callers: dict[str, tuple[str, ...]],
+    ):
+        self.program = program
+        self._targets = targets
+        self._callers = callers
 
-    def callers_of(self, signature: str) -> list[CallEdge]:
-        return self._in.get(signature, [])
+    def target(self, ref: MethodRef) -> tuple[str, bool]:
+        return self._targets[ref]
+
+    def callers(self, signature: str) -> tuple[str, ...]:
+        return self._callers.get(signature, ())
+
+    @property
+    def edges(self) -> tuple[CallEdge, ...]:
+        targets = self._targets
+        return tuple(
+            CallEdge(method.signature, ins.index, *targets[ins.method_ref])
+            for method in self.program.methods()
+            for ins in method.instructions
+            if ins.method_ref is not None
+        )
 
 
 def resolve_call(program: Program, owner: str, name: str, descriptor: str) -> MethodIR | None:
@@ -301,25 +334,26 @@ def resolve_call(program: Program, owner: str, name: str, descriptor: str) -> Me
 
 
 def build_call_graph(program: Program) -> CallGraph:
-    """One edge per invoke instruction; unresolved callees are data."""
-    edges: list[CallEdge] = []
-    callees: dict[MethodRef, tuple[str, bool]] = {}  # each distinct ref resolved once
-    for cls in program.classes:
-        for method in cls.methods:
-            caller = method.signature
-            for ins in method.instructions:
-                if ins.opcode not in INVOKE_OPCODES:
-                    continue
-                ref = ins.method_ref
-                assert ref is not None
-                callee = callees.get(ref)
-                if callee is None:
-                    target = resolve_call(program, ref.owner, ref.name, ref.descriptor)
-                    callee = callees[ref] = (
-                        (target.signature, True) if target is not None else (ref.signature, False)
-                    )
-                edges.append(CallEdge(caller, ins.index, *callee))
-    return CallGraph(edges=tuple(edges))
+    """Resolve each distinct method reference once; unresolved callees are data."""
+    targets: dict[MethodRef, tuple[str, bool]] = {}
+    callers: dict[str, set[str]] = {}
+    for method in program.methods():
+        caller = method.signature
+        for ins in method.instructions:
+            ref = ins.method_ref  # set on an invoke only
+            if ref is None:
+                continue
+            target = targets.get(ref)
+            if target is None:
+                found = resolve_call(program, ref.owner, ref.name, ref.descriptor)
+                target = targets[ref] = (
+                    (found.signature, True) if found is not None else (ref.signature, False)
+                )
+            if target[1]:
+                callers.setdefault(target[0], set()).add(caller)
+    return CallGraph(
+        program, targets, {callee: tuple(sorted(c)) for callee, c in callers.items()}
+    )
 
 
 class CFGMap(Mapping[str, CFG]):

@@ -272,7 +272,7 @@ class ClassDef:
     fields: tuple[tuple[str, str], ...] = ()
 
     def validate(self) -> None:
-        """Class-level checks; each method is checked by MethodIR.validate."""
+        """Class-level checks; MethodIR.validate holds the per-method ones."""
         if not is_class_descriptor(self.class_name):
             raise IRError(f"bad class descriptor: {self.class_name!r}")
         seen: set[str] = set()

@@ -45,6 +45,8 @@ class RuleSet:
                 raise RuleError(f"duplicate rule {pair}")
             seen.add(pair)
             self.category_index.setdefault(rule.category, []).append(rule)
+        # the order classify tries rules and reports matches in, fixed once
+        self.ordered = tuple(sorted(self.rules, key=lambda r: (r.category, r.keyword)))
 
     @property
     def categories(self) -> list[str]:
@@ -115,8 +117,9 @@ def classify(snippet: BehaviorSnippet, rules: RuleSet) -> list[RuleMatch]:
     are ordered by (category, keyword).
     """
     matches: list[RuleMatch] = []
-    for rule in sorted(rules.rules, key=lambda r: (r.category, r.keyword)):
-        for where, text in _snippet_haystacks(snippet):
+    haystacks = list(_snippet_haystacks(snippet))
+    for rule in rules.ordered:
+        for where, text in haystacks:
             if rule.keyword in text:
                 matches.append(RuleMatch(rule.category, rule, where, text))
                 break

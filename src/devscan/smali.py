@@ -27,6 +27,7 @@ from .ir import (
     is_type_descriptor,
     parse_method_descriptor,
     type_words,
+    validate_instruction,
 )
 
 
@@ -219,6 +220,9 @@ _Decoded = tuple[tuple, str | None, bool]
 _Header = tuple[str, str, bool, bool, int]
 
 
+_new_tuple = tuple.__new__
+
+
 class _DecodeMemo:
     """What one load has decoded, reused wherever the same text recurs.
 
@@ -258,20 +262,6 @@ class _MethodParser:
         self.locals: int | None = None
         self.raw: list[_Raw] = []
         self.pending_labels: list[str] = []
-
-    def feed(self, line: str, line_no: int) -> None:
-        if line[0] == ".":  # only .registers and .locals are fed
-            if line.startswith(".registers"):
-                self.registers = _parse_count(line, ".registers", line_no)
-                return
-            if line.startswith(".locals"):
-                self.locals = _parse_count(line, ".locals", line_no)
-                return
-        elif line[0] == ":" and _LABEL_RE.match(line):
-            self.pending_labels.append(line)
-            return
-        self.raw.append((line_no, line, tuple(self.pending_labels)))
-        self.pending_labels.clear()
 
     def finish(self, end_line: int) -> MethodIR:
         if self.is_abstract_or_native:
@@ -314,21 +304,35 @@ class _MethodParser:
                     raise SmaliSyntaxError(f"duplicate label {label}", line_no)
                 label_to_index[label] = idx
 
+        # Each distinct line is decoded and checked once per register
+        # context, so the method needs no MethodIR.validate pass: the check
+        # at the miss settles its operand shape, `_reg` its registers under
+        # the memo's key, `_label` its branch target against this method's
+        # own labels, and the enumeration its dense index.
         decoded_lines = self.memo.lines.setdefault((registers, param_words), {})
         instructions: list[Instruction] = []
         lowered = 0
         for idx, (line_no, text, _) in enumerate(self.raw):
             decoded = decoded_lines.get(text)
-            if decoded is None:
+            miss = decoded is None
+            if miss:
                 decoded = _build(text, line_no, registers, param_words, label_to_index)
-                decoded_lines[text] = decoded
             fields, label, is_lowered = decoded
             # a label names an index in this method only
             target = None if label is None else _label(label, label_to_index, line_no)
-            instructions.append(Instruction(idx, *fields, target))
+            # tuple.__new__ skips the NamedTuple's Python-level __new__;
+            # `fields` holds the slots from `opcode` to `type_ref`
+            ins = _new_tuple(Instruction, (idx, *fields, target))
+            if miss:
+                try:
+                    validate_instruction(ins)
+                except IRError as exc:
+                    raise SmaliSyntaxError(str(exc), self.line_no)
+                decoded_lines[text] = decoded
+            instructions.append(ins)
             lowered += is_lowered
 
-        method = MethodIR(
+        return MethodIR(
             owner=self.owner,
             name=self.name,
             descriptor=self.descriptor,
@@ -338,11 +342,6 @@ class _MethodParser:
             is_static=self.is_static,
             lowered_count=lowered,
         )
-        try:
-            method.validate()
-        except IRError as exc:
-            raise SmaliSyntaxError(str(exc), self.line_no)
-        return method
 
 
 def _reg(token: str, registers: int, param_words: int, line_no: int) -> int:
@@ -508,6 +507,10 @@ def _parse_class(text: str, memo: _DecodeMemo) -> ClassDef:
     method: _MethodParser | None = None
     skip_until: str | None = None
 
+    # the open method's instruction lines and the labels awaiting one
+    raw: list[_Raw] = []
+    pending: list[str] = []
+
     lines = text.split("\n")
     for line_no, rawline in enumerate(lines, start=1):
         line = (_strip_comment(rawline) if "#" in rawline else rawline).strip()
@@ -517,11 +520,29 @@ def _parse_class(text: str, memo: _DecodeMemo) -> ClassDef:
             if line == skip_until or line.startswith(skip_until + " "):
                 skip_until = None
             continue
-        if line[0] != ".":  # an instruction or label; every directive starts with "."
+        first = line[0]
+        if first != ".":  # an instruction or label; every directive starts with "."
             if method is None:
                 raise SmaliSyntaxError(f"instruction outside method: {line!r}", line_no)
-            method.feed(line, line_no)
+            if first == ":" and _LABEL_RE.match(line):
+                pending.append(line)
+            elif pending:
+                raw.append((line_no, line, tuple(pending)))
+                pending.clear()
+            else:
+                raw.append((line_no, line, ()))
             continue
+        if method is not None:  # the directives a method body holds most
+            if line == ".end method":
+                methods.append(method.finish(line_no))
+                method = None
+                continue
+            if line.startswith(".registers"):
+                method.registers = _parse_count(line, ".registers", line_no)
+                continue
+            if line.startswith(".locals"):
+                method.locals = _parse_count(line, ".locals", line_no)
+                continue
         if line.startswith(".class"):
             tokens = line.split()
             if len(tokens) < 2 or not _CLASS_RE.match(tokens[-1]):
@@ -548,18 +569,10 @@ def _parse_class(text: str, memo: _DecodeMemo) -> ClassDef:
             if class_name is None:
                 raise SmaliSyntaxError(".method before .class", line_no)
             method = _MethodParser(class_name, line[len(".method") :].strip(), line_no, memo)
+            raw, pending = method.raw, method.pending_labels
             continue
         if line == ".end method":
-            if method is None:
-                raise SmaliSyntaxError(".end method without .method", line_no)
-            methods.append(method.finish(line_no))
-            method = None
-            continue
-        if method is not None and (
-            line.startswith(".registers") or line.startswith(".locals")
-        ):
-            method.feed(line, line_no)
-            continue
+            raise SmaliSyntaxError(".end method without .method", line_no)
         if _is_skippable_line(line):
             continue
         block_start = line.split(None, 1)[0]
@@ -568,7 +581,7 @@ def _parse_class(text: str, memo: _DecodeMemo) -> ClassDef:
             # the labels before a payload name its data, not an instruction
             payloads = (".packed-switch", ".sparse-switch", ".array-data")
             if method is not None and block_start in payloads:
-                method.pending_labels.clear()
+                pending.clear()
             continue
         if line.startswith(".end"):
             raise SmaliSyntaxError(f"unmatched {line!r}", line_no)
@@ -663,11 +676,11 @@ class Diagnostic:
 
 
 def load_program(root: str | Path) -> tuple[Program, list[Diagnostic]]:
-    """Load every ``.smali`` file under ``root`` into a Program.
+    """Load every regular ``.smali`` file under ``root`` into a Program.
 
-    Per-file parse failures and duplicate class names become diagnostics
-    instead of aborting the load; an empty result is an error that carries
-    them.
+    Per-file read and parse failures and duplicate class names become
+    diagnostics instead of aborting the load; an empty result is an error
+    that carries them.
     """
     root = Path(root)
     if not root.is_dir():
@@ -678,10 +691,12 @@ def load_program(root: str | Path) -> tuple[Program, list[Diagnostic]]:
     # lives for this load only, so a batch's memory does not grow per app
     memo = _DecodeMemo()
     for path in sorted(root.rglob("*.smali")):
+        if not path.is_file():  # a directory or device named like a class file
+            continue
         try:
             text = path.read_text(encoding="utf-8")
             cls = _parse_class(text, memo)
-        except (SmaliSyntaxError, UnicodeDecodeError) as exc:
+        except (SmaliSyntaxError, UnicodeDecodeError, OSError) as exc:
             diagnostics.append(Diagnostic(str(path), str(exc)))
             continue
         if cls.class_name in seen:

@@ -96,6 +96,7 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
     const-strings reaching the call, otherwise UNKNOWN_KEY.
     """
     sources: list[DeviceInfoSource] = []
+    sget = Opcode.SGET_OBJECT  # read once: each read of a member costs a lookup
     for method in program.methods():
         if not method.has_body:
             continue
@@ -103,7 +104,8 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
         forname_results: set[int] = set()
         getmethod_results: set[int] = set()
         for ins in code:
-            if ins.opcode is Opcode.SGET_OBJECT:
+            op = ins.opcode
+            if op is sget:
                 ref = ins.field_ref
                 assert ref is not None
                 if ref.owner == BUILD_CLASS and ref.name in BUILD_FIELDS:
@@ -117,7 +119,7 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
                         )
                     )
                 continue
-            if ins.opcode not in INVOKE_OPCODES:
+            if op not in INVOKE_OPCODES:
                 continue
             ref = ins.method_ref
             assert ref is not None
@@ -327,6 +329,7 @@ class TaintEngine:
         move, move_result = Opcode.MOVE, Opcode.MOVE_RESULT
         returns = (Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE)
         copy, lib_return, param_in = Step.MOVE, Step.LIB_RETURN, Step.PARAM_IN
+        target = self.call_graph.target
         for block in cfg.blocks:
             start, reaching = block.start, {}
             for i in block:
@@ -335,21 +338,21 @@ class TaintEngine:
                 if op is move:
                     yield reads(ins.operands[1]), (sig, ins.operands[0], i), copy
                 elif op is move_result and (invoke := paired[i]) is not None:
-                    edge = self.call_graph.edge_at(sig, invoke)
-                    if edge is not None and edge.resolved:
-                        yield (edge.callee,), (sig, ins.operands[0], i), None
+                    callee, resolved = target(code[invoke].method_ref)
+                    if resolved:
+                        yield (callee,), (sig, ins.operands[0], i), None
                     else:
                         args = code[invoke].operands
                         yield tuple(p for a in args for p in reads(a)), (sig, ins.operands[0], i), lib_return
                 elif op in returns:
                     yield reads(ins.operands[0]), sig, None
                 elif op in INVOKE_OPCODES:
-                    edge = self.call_graph.edge_at(sig, i)
-                    if edge is not None and edge.resolved and edge.callee in self.cfgs:
+                    callee, resolved = target(ins.method_ref)
+                    if resolved and callee in self.cfgs:
                         # a call seeds the last registers of the frame, one per argument word
-                        base = self.cfgs.methods[edge.callee].registers - len(ins.operands)
+                        base = self.cfgs.methods[callee].registers - len(ins.operands)
                         for word, arg in enumerate(ins.operands if base >= 0 else ()):
-                            yield reads(arg), (edge.callee, base + word, ENTRY_DEF), param_in
+                            yield reads(arg), (callee, base + word, ENTRY_DEF), param_in
                 if (w := writes[i]) is not None:
                     reaching[w] = ((sig, w, i),)
 
@@ -388,7 +391,7 @@ class TaintEngine:
             delta = pending.pop(node)
             self._flow(self.edges.get(node, ()), delta)
             if type(node) is str:  # a return node: its resolved callers read it
-                reached = sorted({e.caller for e in self.call_graph.callers_of(node) if e.resolved})
+                reached = self.call_graph.callers(node)
             elif node[2] == ENTRY_DEF:
                 reached = [node[0]]
             else:

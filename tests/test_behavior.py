@@ -11,6 +11,7 @@ from devscan.behavior import (
     find_device_guards,
     find_guard_sites,
 )
+from devscan.devicedb import default_device_db, parse_device_db
 from devscan.graphs import CFG, build_call_graph, build_cfgs
 from devscan.smali import load_program
 from devscan.taint import TaintEngine, find_sources
@@ -149,6 +150,37 @@ def test_property_key_collected_for_nullcheck():
 
 
 # -- confirm_device_guard ----------------------------------------------------------
+
+def test_one_db_for_many_apps_matches_fresh_dbs(all_fixture_ids):
+    # find_device_guards memoises each guard string's matches for one call
+    # only, so a DB shared by apps gives every app what a fresh DB gives
+    shared = default_device_db()
+    for fid in [*all_fixture_ids, *all_fixture_ids]:
+        run = corpus_run(fid)
+        assert find_device_guards(run.taint, run.cfgs, shared) == find_device_guards(
+            run.taint, run.cfgs, default_device_db()
+        ), fid
+    # nor across DBs: the same guard strings against a DB without OPPO
+    run = corpus_run("oppo_perm")
+    assert find_device_guards(run.taint, run.cfgs, shared)
+    assert find_device_guards(run.taint, run.cfgs, parse_device_db("brand,Samsung\n")) == []
+
+
+def test_guard_strings_matched_once_per_call(monkeypatch):
+    # multi_guard's three guard sites hold two distinct guard strings
+    run = corpus_run("multi_guard")
+    calls = []
+    real = behavior.match_identifier
+
+    def counting(candidate, db):
+        calls.append(candidate)
+        return real(candidate, db)
+
+    monkeypatch.setattr(behavior, "match_identifier", counting)
+    guards = find_device_guards(run.taint, run.cfgs, default_device_db())
+    strings = [s for g in guards for s in g.guard_strings if s]
+    assert len(strings) == 3 and sorted(calls) == sorted(set(strings))
+
 
 def test_confirm_with_brand(device_db):
     run, sites = guard_sites_of("oppo_perm")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,8 @@ from devscan.devicedb import (
     BUILD_FIELDS,
     DEFAULT_SOURCE_SPECS,
     DeviceDbError,
+    IdentifierKind,
+    IdentifierMatch,
     MatchMode,
     default_device_db,
     load_device_db,
@@ -151,8 +155,6 @@ def _naive_recheck(candidate: str, match) -> bool:
     """Independent scanner: re-verify a match under its declared mode."""
     cand = candidate.casefold()
     entry = match.db_entry.casefold()
-    import re
-
     tokens = set(t for t in re.split(r"[^0-9a-z]+", cand) if t)
     if match.match_mode == MatchMode.EXACT_TOKEN:
         return entry == cand or entry in tokens
@@ -179,3 +181,57 @@ def test_matches_against_corpus_guard_strings(device_db):
                 assert any(
                     _naive_recheck(s, match) for s in guard.guard_strings
                 )
+
+
+def _sorting_reference(candidate: str, db) -> list[IdentifierMatch]:
+    """Brute-force matcher that sorts each group on every call."""
+    cand = candidate.casefold()
+    tokens = {t for t in re.split(r"[^0-9a-z]+", cand) if t}
+    out = []
+    for kind in IdentifierKind.ALL:
+        entries = db.entries(kind)
+        for canon in sorted(entries):
+            original = entries[canon]
+            if canon == cand:
+                out.append(IdentifierMatch(cand, kind, original, MatchMode.EXACT_TOKEN))
+            elif canon in tokens:
+                out.append(IdentifierMatch(canon, kind, original, MatchMode.EXACT_TOKEN))
+            elif len(canon) >= 3 and canon in cand:
+                out.append(IdentifierMatch(canon, kind, original, MatchMode.SUBSTRING))
+    return out
+
+
+# short values, so many fall under the three characters a substring match needs
+_VALUE = st.text(alphabet="abOoP1é -_.", min_size=1, max_size=6).map(str.strip).filter(bool)
+
+
+@st.composite
+def _dbs_and_candidates(draw):
+    rows = draw(st.lists(st.tuples(st.sampled_from(IdentifierKind.ALL), _VALUE), min_size=1))
+    kinds: dict[str, set[str]] = {}
+    for kind, value in rows:
+        kinds.setdefault(value.casefold(), set()).add(kind)
+    # a value listed under two kinds needs an overlap row
+    overlaps = [value for value, of in kinds.items() if len(of) > 1]
+    overlaps += draw(st.lists(_VALUE, max_size=2))
+    db = parse_device_db(
+        "\n".join([f"{kind},{value}" for kind, value in rows] + [f"overlap,{v}" for v in overlaps])
+    )
+    entry = st.sampled_from([value for _, value in rows])
+    candidates = draw(st.lists(st.one_of(
+        entry,  # exact
+        entry.map(lambda e: f"x {e}-y"),  # token
+        entry.map(lambda e: f"q{e}z"),  # substring
+        entry.map(str.swapcase),  # case
+        entry.map(str.upper),
+        _VALUE,
+    ), min_size=1, max_size=6))
+    return db, candidates
+
+
+@given(_dbs_and_candidates())
+@settings(max_examples=200, deadline=None)
+def test_match_identifier_equals_sorting_reference(drawn):
+    db, candidates = drawn
+    for candidate in candidates:
+        assert match_identifier(candidate, db) == _sorting_reference(candidate, db)

@@ -17,7 +17,7 @@ from devscan.graphs import (
     cfg_to_dot,
     immediate_postdominators,
 )
-from devscan.smali import parse_smali_class
+from devscan.smali import load_program, parse_smali_class
 from devscan.ir import Program
 from devscan.report import analyze_app
 from tests.conftest import corpus_run
@@ -137,6 +137,26 @@ def test_every_invoke_has_exactly_one_edge(all_fixture_ids):
             if i.opcode in INVOKE_OPCODES
         )
         assert len(run.call_graph.edges) == invokes
+
+
+def test_targets_and_callers_agree_with_edges(all_fixture_ids, tmp_path):
+    from tests.conftest import load_script
+
+    # no corpus method has two callers; the call ring's methods have several
+    load_script("perfbench/gen_call_web.py").generate(7, tmp_path)
+    programs = [(fid, corpus_run(fid).program) for fid in all_fixture_ids]
+    programs.append(("call_web", load_program(tmp_path / "smali")[0]))
+    for name, program in programs:
+        graph = build_call_graph(program)
+        methods = {m.signature: m for m in program.methods()}
+        callers: dict[str, set[str]] = {}
+        for e in graph.edges:
+            ref = methods[e.caller].instructions[e.call_index].method_ref
+            assert graph.target(ref) == (e.callee, e.resolved), (name, e)
+            if e.resolved:
+                callers.setdefault(e.callee, set()).add(e.caller)
+        for sig in {*methods, *(e.callee for e in graph.edges)}:
+            assert graph.callers(sig) == tuple(sorted(callers.get(sig, ()))), (name, sig)
 
 
 def test_no_invokes_empty_edges():

@@ -1,3 +1,6 @@
+import random
+import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -721,6 +724,125 @@ def test_load_program_equals_parsing_each_file_alone(all_fixture_ids):
             for path in sorted(root.rglob("*.smali"))
         ]
         assert list(program.classes) == alone, fid
+
+
+def _assert_every_method_validates(program):
+    for method in program.methods():
+        method.validate()
+
+
+def test_loaded_methods_validate(all_fixture_ids, tmp_path):
+    # the frontend checks each distinct line once, at decode, and never
+    # calls MethodIR.validate; whatever it returns must pass it anyway
+    from devscan.fixtures import corpus_root
+    from tests.conftest import load_script
+
+    for fid in all_fixture_ids:
+        _assert_every_method_validates(load_program(corpus_root() / fid / "smali")[0])
+    for script in ("perfbench/gen_call_web.py", "perfbench/gen_synth_wide.py"):
+        out = tmp_path / Path(script).stem
+        load_script(script).generate(7, out)
+        program, diagnostics = load_program(out / "smali")
+        assert diagnostics == []
+        _assert_every_method_validates(program)
+
+
+_REGISTER_TOKEN = re.compile(r"\b[vp]\d+\b")
+_LABEL_TOKEN = re.compile(r":[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """One random edit of a method body line: its register, count, label or
+    mnemonic changed, or the line dropped or copied elsewhere in a body."""
+    lines = text.split("\n")
+    body = [i for i, line in enumerate(lines) if line.startswith("    ")]
+    i = rng.choice(body)
+    line = lines[i]
+    edit = rng.randrange(6)
+    if edit == 0 and _REGISTER_TOKEN.search(line):
+        regs = _REGISTER_TOKEN.findall(line)
+        new = f"{rng.choice('vp')}{rng.randrange(12)}"
+        lines[i] = line.replace(rng.choice(regs), new, 1)
+    elif edit == 1 and (".registers" in line or ".locals" in line):
+        lines[i] = f"{line.split()[0]} {rng.randrange(6)}"
+    elif edit == 2 and _LABEL_TOKEN.search(line):
+        labels = _LABEL_TOKEN.findall(text)
+        lines[i] = line.replace(rng.choice(_LABEL_TOKEN.findall(line)), rng.choice(labels), 1)
+    elif edit == 3 and line.strip():
+        mnemonic = line.split()[0]
+        swap = ["move", "move-result", "if-eqz", "if-eq", "goto", "return-object",
+                "const-string", "invoke-static", "sget-object", "new-instance", "nop"]
+        lines[i] = line.replace(mnemonic, rng.choice(swap), 1)
+    elif edit == 4:
+        del lines[i]
+    else:
+        lines.insert(rng.choice(body), line)
+    return "\n".join(lines)
+
+
+def test_mutated_corpus_classes_validate(all_fixture_ids, tmp_path):
+    # one load per round shares its decode memo across every mutant, so a
+    # line first decoded in one method is reused in methods of other shapes
+    from devscan.fixtures import corpus_root
+
+    texts = [
+        path.read_text(encoding="utf-8")
+        for fid in all_fixture_ids
+        for path in sorted((corpus_root() / fid / "smali").rglob("*.smali"))
+    ]
+    rng = random.Random(2029)
+    loaded = 0
+    for round_no in range(4):
+        root = tmp_path / f"round{round_no}"
+        root.mkdir()
+        for n, text in enumerate(texts * 3):
+            for _ in range(rng.randrange(1, 3)):
+                text = _mutate(text, rng)
+            # a class name of its own, so no mutant is dropped as a duplicate
+            text = re.sub(r"(?m)^(\.class.*) L\S+;$", rf"\1 Lfuzz/M{n};", text)
+            (root / f"M{n}.smali").write_text(text, encoding="utf-8")
+        try:
+            program, _ = load_program(root)
+        except ProgramLoadError:
+            continue
+        _assert_every_method_validates(program)
+        loaded += sum(1 for _ in program.methods())
+    assert loaded > 0
+
+
+def test_directory_named_like_a_class_file_is_skipped(tmp_path):
+    from devscan.fixtures import corpus_root
+    from devscan.report import analyze_app
+
+    src = corpus_root() / "oppo_perm" / "smali"
+    root = tmp_path / "smali"
+    shutil.copytree(src, root)
+    (root / "com" / "x" / "Weird.smali").mkdir(parents=True)
+    report = analyze_app(root)
+    assert report.analysis_status == "ok" and report.diagnostics == []
+    expected = analyze_app(src)
+    assert report.guards == expected.guards > 0
+    assert report.snippets == expected.snippets
+
+
+def test_read_error_becomes_one_diagnostic(tmp_path, monkeypatch):
+    for name in ("A", "B"):
+        (tmp_path / f"{name}.smali").write_text(
+            SINGLE.replace("Lcom/app/Single;", f"Lcom/app/{name};"), encoding="utf-8"
+        )
+    read_text = Path.read_text
+
+    def failing_read(path, *args, **kwargs):
+        if path.name == "B.smali":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", failing_read)
+    program, diagnostics = load_program(tmp_path)
+    assert [cls.class_name for cls in program.classes] == ["Lcom/app/A;"]
+    assert [(Path(d.path).name, d.message) for d in diagnostics] == [
+        ("B.smali", f"[Errno 13] Permission denied: '{tmp_path / 'B.smali'}'")
+    ]
 
 
 def test_load_program_checks_registers_per_method(tmp_path):

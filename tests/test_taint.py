@@ -555,9 +555,10 @@ def dense_taint_transfer(reference, sig):
             invoke = feeding_invoke(method, ins.index)
             if invoke is not None:
                 mask = bits.get((sig, invoke), 0)
-                edge = reference.call_graph.edge_at(sig, invoke)
-                if edge is not None and edge.resolved:
-                    mask |= reference.summaries.get(edge.callee, 0)
+                ref = method.instructions[invoke].method_ref
+                callee, resolved = reference.call_graph.target(ref)
+                if resolved:
+                    mask |= reference.summaries.get(callee, 0)
                 else:
                     for arg in method.instructions[invoke].operands:
                         mask |= state.get(arg, 0)
@@ -600,18 +601,20 @@ class RePassReference:
                 summary |= in_sets[ins.index].get(ins.operands[0], 0)
         if summary != self.summaries.get(sig, 0):
             self.summaries[sig] = summary
-            dirty += sorted(e.caller for e in self.call_graph.callers_of(sig) if e.resolved)
+            dirty += self.call_graph.callers(sig)
         for ins in cfg.method.instructions:
-            edge = self.call_graph.edge_at(sig, ins.index)
-            if edge is None or not edge.resolved:
+            if ins.method_ref is None:
                 continue
-            base = self.cfgs.methods[edge.callee].registers - len(ins.operands)
-            regs = self.entry_facts.setdefault(edge.callee, {})
+            callee, resolved = self.call_graph.target(ins.method_ref)
+            if not resolved:
+                continue
+            base = self.cfgs.methods[callee].registers - len(ins.operands)
+            regs = self.entry_facts.setdefault(callee, {})
             for word, arg in enumerate(ins.operands if base >= 0 else ()):
                 mask = in_sets[ins.index].get(arg, 0)
                 if mask & ~regs.get(base + word, 0):
                     regs[base + word] = regs.get(base + word, 0) | mask
-                    dirty.append(edge.callee)
+                    dirty.append(callee)
         return list(dict.fromkeys(dirty))
 
     def per_point(self):

@@ -158,20 +158,6 @@ def _tainted_side(
     return None
 
 
-def _may_hold_sites(taint: TaintResult, sig: str, cfg: CFG) -> bool:
-    # every site needs an if, and an if or string comparison reading taint
-    m = cfg.method
-    reads = [
-        i
-        for i in m.instructions
-        if (op := i.opcode) in IF_OPCODES
-        or (op in INVOKE_OPCODES and _comparison_invoke(m, i.index))
-    ]
-    return any(i.opcode in IF_OPCODES for i in reads) and any(
-        taint.tainted(sig, i.index, r) for i in reads for r in i.operands
-    )
-
-
 def find_guard_sites(taint: TaintResult, cfg: CFG) -> list[GuardSite]:
     """Branches of one method whose condition depends on device information.
 
@@ -232,49 +218,36 @@ def collect_guard_strings(site: GuardSite, cfg: CFG) -> list[str]:
     Collects literals flowing into the comparison call's operands, then
     every literal in the site's basic block or in a block holding a
     definition on the chain: one worklist of ``cfg.feeding`` queries from
-    the condition register and the comparison's operands, where a paired
-    move-result adds its invoke and queues the invoke's operands. Every
-    literal comes from a const-string, so a method without one yields none.
+    the condition register and the comparison's operands, each asked once,
+    where a paired move-result adds its invoke and queues the invoke's
+    operands. Every literal comes from a const-string, so a method without
+    one yields none.
     """
     if not cfg.has_const_string:
         return []
-    method = cfg.method
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def add(lit: str) -> None:
-        if lit not in seen:
-            seen.add(lit)
-            out.append(lit)
-
-    work = [(site.branch_instruction, site.condition_register)]
-    if site.comparison_call is not None:
-        invoke = method.instructions[site.comparison_call]
-        for arg in invoke.operands:
-            for lit in cfg.literals(invoke.index, arg):
-                add(lit)
-            work.append((invoke.index, arg))
-    chain_defs: set[int] = set()
-    asked: set[tuple[int, int]] = set()
+    code = cfg.method.instructions
+    const_string = Opcode.CONST_STRING
+    call = site.comparison_call
+    operands = [] if call is None else [(call, arg) for arg in code[call].operands]
+    work = [(site.branch_instruction, site.condition_register), *operands]
+    answers: dict[tuple[int, int], frozenset[int]] = {}
+    chain = {site.branch_instruction}
     while work:
         query = work.pop()
-        if query in asked:
+        if query in answers:
             continue
-        asked.add(query)
-        for d in cfg.feeding(*query) - {ENTRY_DEF}:
-            chain_defs.add(d)
+        answers[query] = feeding = cfg.feeding(*query) - {ENTRY_DEF}
+        chain |= feeding
+        for d in feeding:
             inv = cfg.paired[d]  # a definition paired is a move-result
-            if inv is not None and inv not in chain_defs:
-                chain_defs.add(inv)
-                work += [(inv, arg) for arg in method.instructions[inv].operands]
+            if inv is not None:
+                chain.add(inv)
+                work += [(inv, arg) for arg in code[inv].operands]
 
-    blocks = {cfg.block_of[site.branch_instruction]}
-    blocks |= {cfg.block_of[d] for d in chain_defs}
-    for bid in sorted(blocks):
-        for ins in cfg.instructions_of(bid):
-            if ins.opcode is Opcode.CONST_STRING:
-                add(ins.literal or "")
-    return out
+    # the operands' literals first, then those of the chain's blocks
+    found = [d for query in operands for d in sorted(answers[query])]
+    found += [i for b in sorted({cfg.block_of[d] for d in chain}) for i in cfg.blocks[b]]
+    return list(dict.fromkeys(code[i].literal or "" for i in found if code[i].opcode is const_string))
 
 
 def confirm_device_guard(
@@ -440,14 +413,13 @@ def find_device_guards(
     db: DeviceInfoDB,
 ) -> list[DeviceGuard]:
     """find_guard_sites + collect_guard_strings + confirm_device_guard, one
-    method at a time. Methods where no if or comparison reads a tainted
-    register are skipped, and an untainted one before its CFG is built.
-    Each distinct guard string is matched against ``db`` once per call."""
+    method at a time. A method with no tainted register is skipped before
+    its CFG is built. Each distinct guard string is matched against ``db``
+    once per call."""
     guards: list[DeviceGuard] = []
     matched: dict[str, list[IdentifierMatch]] = {}
-    for sig in sorted(cfgs):
-        if not taint.tainted_in(sig) or not _may_hold_sites(taint, sig, cfg := cfgs[sig]):
-            continue
+    for sig in sorted(s for s in cfgs if taint.tainted_in(s)):
+        cfg = cfgs[sig]
         for site in find_guard_sites(taint, cfg):
             strings = collect_guard_strings(site, cfg)
             guard = confirm_device_guard(site, strings, db, matched)

@@ -368,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except (ApkError, DeviceDbError, RuleError, ProgramLoadError, FileNotFoundError, ValueError) as exc:
+    except (ApkError, DeviceDbError, RuleError, ProgramLoadError, OSError, ValueError) as exc:
         print(f"devscan: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

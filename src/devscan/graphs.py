@@ -41,8 +41,8 @@ class CFG:
     method's definitions through ``defs`` and its invoke/move-result pairs
     through ``paired``, so each is computed once per method. Taint builds
     its value-flow edges on ``defs``; source keys, guard sites and guard
-    strings read ``feeding`` and ``literals``, the one backward query
-    through moves.
+    strings read ``feeding``, the one backward query through moves, and
+    source keys its const-strings through ``literals``.
     """
 
     method: MethodIR

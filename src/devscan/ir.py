@@ -91,10 +91,6 @@ SHAPES: dict[Opcode, Shape] = {
     Opcode.NOP: Shape(0, None, False, _NONE),
 }
 _SLOTS = ("literal", "field_ref", "method_ref", "type_ref", "branch_target")
-# opcode -> for each of _SLOTS, whether it must be set
-_SLOT_SHAPES = {
-    op: tuple(slot == shape.attachment for slot in _SLOTS) for op, shape in SHAPES.items()
-}
 
 
 class IRError(ValueError):
@@ -142,15 +138,6 @@ class Instruction(NamedTuple):
 def validate_instruction(ins: Instruction) -> None:
     """Check that exactly the operand slots required by the opcode are set."""
     regs, needed, _, _ = SHAPES[ins.opcode]
-    # one comparison settles a valid instruction; the checks below word the error
-    if (regs is None or len(ins.operands) == regs) and _SLOT_SHAPES[ins.opcode] == (
-        ins.literal is not None,
-        ins.field_ref is not None,
-        ins.method_ref is not None,
-        ins.type_ref is not None,
-        ins.branch_target is not None,
-    ):
-        return
     if regs is not None and len(ins.operands) != regs:
         raise IRError(
             f"{ins.opcode.value} at {ins.index}: expected {regs} register "

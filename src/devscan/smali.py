@@ -27,7 +27,6 @@ from .ir import (
     is_type_descriptor,
     parse_method_descriptor,
     type_words,
-    validate_instruction,
 )
 
 
@@ -304,31 +303,25 @@ class _MethodParser:
                     raise SmaliSyntaxError(f"duplicate label {label}", line_no)
                 label_to_index[label] = idx
 
-        # Each distinct line is decoded and checked once per register
-        # context, so the method needs no MethodIR.validate pass: the check
-        # at the miss settles its operand shape, `_reg` its registers under
+        # Each distinct line is decoded once per register context, so the
+        # method needs no MethodIR.validate pass: `_build` sets exactly the
+        # slots of the opcode's SHAPES row, `_reg` checks its registers under
         # the memo's key, `_label` its branch target against this method's
-        # own labels, and the enumeration its dense index.
+        # own labels, and the enumeration gives its dense index.
         decoded_lines = self.memo.lines.setdefault((registers, param_words), {})
         instructions: list[Instruction] = []
         lowered = 0
         for idx, (line_no, text, _) in enumerate(self.raw):
             decoded = decoded_lines.get(text)
-            miss = decoded is None
-            if miss:
+            if decoded is None:
                 decoded = _build(text, line_no, registers, param_words, label_to_index)
+                decoded_lines[text] = decoded
             fields, label, is_lowered = decoded
             # a label names an index in this method only
             target = None if label is None else _label(label, label_to_index, line_no)
             # tuple.__new__ skips the NamedTuple's Python-level __new__;
             # `fields` holds the slots from `opcode` to `type_ref`
             ins = _new_tuple(Instruction, (idx, *fields, target))
-            if miss:
-                try:
-                    validate_instruction(ins)
-                except IRError as exc:
-                    raise SmaliSyntaxError(str(exc), self.line_no)
-                decoded_lines[text] = decoded
             instructions.append(ins)
             lowered += is_lowered
 
@@ -684,7 +677,8 @@ def load_program(root: str | Path) -> tuple[Program, list[Diagnostic]]:
     """
     root = Path(root)
     if not root.is_dir():
-        raise ProgramLoadError(f"smali root {root} does not exist")
+        reason = "is not a directory" if root.exists() else "does not exist"
+        raise ProgramLoadError(f"smali root {root} {reason}")
     classes: list[ClassDef] = []
     seen: dict[str, Path] = {}
     diagnostics: list[Diagnostic] = []

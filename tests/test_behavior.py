@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from devscan import behavior
@@ -31,7 +33,7 @@ def guard_strings(run, site):
 def guard_sites_of(fid):
     """Sites as find_device_guards finds them: in the methods it searches."""
     run = corpus_run(fid)
-    searched = [sig for sig, cfg in run.cfgs.items() if behavior._may_hold_sites(run.taint, sig, cfg)]
+    searched = [sig for sig in run.cfgs if run.taint.tainted_in(sig)]
     return run, sites_in(run, searched)
 
 
@@ -86,12 +88,11 @@ def test_sites_without_identifiers_stay_sites(device_db):
 
 
 @pytest.mark.parametrize(
-    "fid, expected", [("multi_guard", 1), ("zero_sources", 0), ("untainted_cmp", 0)]
+    "fid, expected", [("multi_guard", 1), ("zero_sources", 0), ("untainted_cmp", 1)]
 )
 def test_reaching_definitions_once_per_method(device_db, monkeypatch, fid, expected):
     """The guard stage asks backward definition queries instead of solving
-    reaching definitions, only in methods holding taint, and searches for
-    sites only in methods that can hold one."""
+    reaching definitions, and only in methods holding taint."""
     run = corpus_run(fid)
     queried, searched = set(), []
     real_defs, real_sites = CFG.defs, behavior.find_guard_sites
@@ -107,8 +108,8 @@ def test_reaching_definitions_once_per_method(device_db, monkeypatch, fid, expec
     monkeypatch.setattr(CFG, "defs", counted_defs)
     monkeypatch.setattr(behavior, "find_guard_sites", counted_sites)
     find_device_guards(run.taint, run.cfgs, device_db)
-    # multi_guard holds two sites in one method; in the others no if or
-    # string comparison reads a tainted register
+    # multi_guard holds two sites in its one tainted method; untainted_cmp's
+    # one tainted method holds none, and zero_sources has no taint
     assert len(searched) == expected
     assert queried <= {sig for sig in run.cfgs if run.taint.tainted_in(sig)}
 
@@ -147,6 +148,27 @@ def test_property_key_collected_for_nullcheck():
     run, sites = guard_sites_of("nullcheck")
     (site,) = sites
     assert guard_strings(run, site) == ["ro.build.version.emui"]
+
+
+def test_guard_strings_ask_each_query_once(all_fixture_ids, monkeypatch):
+    """One collect_guard_strings call asks each feeding query at most once."""
+    asked = Counter()
+    real = CFG.feeding
+
+    def counted(cfg, index, register):
+        asked[id(cfg), index, register] += 1
+        return real(cfg, index, register)
+
+    monkeypatch.setattr(CFG, "feeding", counted)
+    queried = 0
+    for fid in all_fixture_ids:
+        run, sites = guard_sites_of(fid)
+        for site in sites:
+            asked.clear()
+            guard_strings(run, site)
+            assert max(asked.values(), default=0) <= 1, (fid, site)
+            queried += bool(asked)
+    assert queried > 20
 
 
 # -- confirm_device_guard ----------------------------------------------------------

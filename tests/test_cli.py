@@ -41,6 +41,32 @@ def test_scan_missing_root_is_input_error(tmp_path, capsys):
     assert main(["scan", str(tmp_path / "nope")]) == 2
 
 
+def test_scan_file_root_is_not_a_directory(tmp_path, capsys):
+    root = tmp_path / "app.smali"
+    root.write_text("", encoding="utf-8")
+    assert main(["scan", str(root)]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["analysis_status"] == "failed"
+    assert "is not a directory" in data["failure_reason"]
+
+
+@pytest.mark.parametrize("command", ["scan", "aggregate"])
+def test_out_that_is_a_directory_is_input_error(tmp_path, capsys, command):
+    """A --out that cannot be written is an input error, not an internal one."""
+    if command == "scan":
+        source = smali_root("oppo_perm")
+    else:
+        source = tmp_path / "reports"
+        source.mkdir()
+        assert main(["scan", smali_root("oppo_perm"), "--out", str(source / "oppo.json")]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert main([command, str(source), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("devscan: ") and "internal error" not in err
+
+
 def test_scan_packed_apk(tmp_path, capsys):
     apk = tmp_path / "packed.apk"
     with zipfile.ZipFile(apk, "w") as zf:

@@ -143,12 +143,12 @@ def _comparison_invoke(method: MethodIR, index: int) -> tuple[ComparisonKind, In
 
 
 def _tainted_side(
-    taint: TaintResult, sig: str, invoke: Instruction
+    taint: TaintResult, sig: str, invoke: Instruction, index: int
 ) -> OperandSide | None:
     if not invoke.operands:
         return None
-    receiver_tainted = taint.tainted(sig, invoke.index, invoke.operands[0])
-    argument_tainted = any(taint.tainted(sig, invoke.index, r) for r in invoke.operands[1:])
+    receiver_tainted = taint.tainted(sig, index, invoke.operands[0])
+    argument_tainted = any(taint.tainted(sig, index, r) for r in invoke.operands[1:])
     if receiver_tainted and argument_tainted:
         return OperandSide.BOTH
     if receiver_tainted:
@@ -168,12 +168,12 @@ def find_guard_sites(taint: TaintResult, cfg: CFG) -> list[GuardSite]:
     method = cfg.method
     sig = method.signature
     sites: list[GuardSite] = []
-    for ins in method.instructions:
+    for index, ins in enumerate(method.instructions):
         if ins.opcode not in IF_OPCODES:
             continue
         site = None
         for reg in ins.operands:
-            for d in sorted(x for x in cfg.feeding(ins.index, reg) if x >= 0):
+            for d in sorted(x for x in cfg.feeding(index, reg) if x >= 0):
                 invoke_index = cfg.paired[d]  # a definition paired is a move-result
                 if invoke_index is None:
                     continue
@@ -181,12 +181,12 @@ def find_guard_sites(taint: TaintResult, cfg: CFG) -> list[GuardSite]:
                 if cmp is None:
                     continue
                 kind, invoke = cmp
-                side = _tainted_side(taint, sig, invoke)
+                side = _tainted_side(taint, sig, invoke, invoke_index)
                 if side is None:
                     continue
                 site = GuardSite(
                     method=sig,
-                    branch_instruction=ins.index,
+                    branch_instruction=index,
                     comparison=kind,
                     tainted_operand_side=side,
                     condition_register=reg,
@@ -197,11 +197,11 @@ def find_guard_sites(taint: TaintResult, cfg: CFG) -> list[GuardSite]:
                 break
         if site is None:
             for pos, reg in enumerate(ins.operands):
-                if taint.tainted(sig, ins.index, reg):
+                if taint.tainted(sig, index, reg):
                     side = OperandSide.RECEIVER if pos == 0 else OperandSide.ARGUMENT
                     site = GuardSite(
                         method=sig,
-                        branch_instruction=ins.index,
+                        branch_instruction=index,
                         comparison=ComparisonKind.REFERENCE_EQ,
                         tainted_operand_side=side,
                         condition_register=reg,

@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 usage, 2 input error, 3 partial (timeout), 4 internal,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -64,6 +65,32 @@ def _emit_diagnostics(diagnostics) -> None:
         print(json.dumps(diag if isinstance(diag, dict) else diag.to_json_dict()), file=sys.stderr)
 
 
+def _check_out(out: str | None) -> None:
+    """Raise now, creating nothing, the OSError that writing ``out`` after
+    the work would raise: ``out`` is a directory, or its parent is not one."""
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif path.parent.is_dir():
+        return
+    else:  # the parent is a file, or missing or behind a file (stat says which)
+        try:
+            path.parent.stat()
+            code = errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+    raise OSError(code, os.strerror(code), out)
+
+
+def _write_out(text: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        print(text, end="")
+
+
 def _load_inputs(args):
     db = load_device_db(args.db) if getattr(args, "db", None) else None
     rules = load_rules(args.rules) if getattr(args, "rules", None) else None
@@ -76,6 +103,7 @@ def _load_inputs(args):
 
 
 def cmd_scan(args) -> int:
+    _check_out(args.out)
     db, rules, signatures = _load_inputs(args)
     budgets = Budgets(wall_clock_seconds=args.timeout)
 
@@ -104,11 +132,7 @@ def cmd_scan(args) -> int:
         on_taint=dump_taint if args.dump_taint else None,
     )
     _emit_diagnostics(report.diagnostics)
-    text = canonical_json(report.to_json_dict())
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
+    _write_out(canonical_json(report.to_json_dict()), args.out)
     if report.analysis_status == Status.PARTIAL_TIMEOUT:
         return EXIT_PARTIAL
     if report.analysis_status == Status.FAILED:
@@ -205,17 +229,13 @@ def cmd_batch(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    _check_out(args.out)
     paths = sorted(Path(args.report_dir).glob("*.json"))
     if not paths:
         print(f"no reports in {args.report_dir}", file=sys.stderr)
         return EXIT_INPUT
     reports = [load_report(p) for p in paths]
-    corpus = aggregate(reports)
-    text = canonical_json(corpus.to_json_dict())
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
+    _write_out(canonical_json(aggregate(reports).to_json_dict()), args.out)
     return EXIT_OK
 
 
@@ -237,11 +257,7 @@ def cmd_db(args) -> int:
             lines.append(f"{kind},{entries[canon]}")
     for value in sorted(merged.overlap_whitelist):
         lines.append(f"overlap,{value}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
+    _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

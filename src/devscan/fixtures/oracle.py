@@ -119,7 +119,7 @@ class _Simulator:
                 pending_valid = False
                 continue
             if op in INVOKE_OPCODES:
-                pending = self._invoke(sig, method, ins, regs)
+                pending = self._invoke(sig, i, ins, regs)
                 pending_valid = True
                 continue
             pending_valid = False  # a move-result reads only the instruction right before it
@@ -137,9 +137,9 @@ class _Simulator:
                 if marks:
                     self.tables.return_taint.setdefault(sig, set()).update(marks)
 
-    def _invoke(self, sig: str, method: MethodIR, ins, regs: dict[int, Marks]) -> Marks:
+    def _invoke(self, sig: str, i: int, ins, regs: dict[int, Marks]) -> Marks:
         result: set[int] = set()
-        origin = self.invoke_sources.get((sig, ins.index))
+        origin = self.invoke_sources.get((sig, i))
         if origin is not None:
             result.add(origin)
         ref = ins.method_ref

@@ -306,9 +306,9 @@ class CallGraph:
     def edges(self) -> tuple[CallEdge, ...]:
         targets = self._targets
         return tuple(
-            CallEdge(method.signature, ins.index, *targets[ins.method_ref])
+            CallEdge(method.signature, index, *targets[ins.method_ref])
             for method in self.program.methods()
-            for ins in method.instructions
+            for index, ins in enumerate(method.instructions)
             if ins.method_ref is not None
         )
 
@@ -386,8 +386,8 @@ def build_cfgs(program: Program) -> CFGMap:
 
 def cfg_to_dot(cfg: CFG) -> str:
     lines = ["digraph cfg {", '  node [shape=box, fontname="monospace"];']
-    for bid in range(len(cfg.blocks)):
-        body = "\\l".join(f"{i.index}: {i.opcode.value}" for i in cfg.instructions_of(bid))
+    for bid, block in enumerate(cfg.blocks):
+        body = "\\l".join(f"{i}: {cfg.method.instructions[i].opcode.value}" for i in block)
         lines.append(f'  b{bid} [label="B{bid}\\l{body}\\l"];')
     for src, dst, kind in cfg.edges:
         lines.append(f'  b{src} -> b{dst} [label="{kind.value}"];')

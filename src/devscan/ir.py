@@ -122,7 +122,7 @@ class MethodRef:
 
 
 class Instruction(NamedTuple):
-    index: int
+    """One decoded line; its position is its index in ``MethodIR.instructions``."""
     opcode: Opcode
     operands: tuple[int, ...] = ()
     literal: str | None = None
@@ -135,21 +135,21 @@ class Instruction(NamedTuple):
         return self.opcode in RETURN_OPCODES
 
 
-def validate_instruction(ins: Instruction) -> None:
+def validate_instruction(ins: Instruction, index: int) -> None:
     """Check that exactly the operand slots required by the opcode are set."""
     regs, needed, _, _ = SHAPES[ins.opcode]
     if regs is not None and len(ins.operands) != regs:
         raise IRError(
-            f"{ins.opcode.value} at {ins.index}: expected {regs} register "
+            f"{ins.opcode.value} at {index}: expected {regs} register "
             f"operands, got {len(ins.operands)}"
         )
     for slot in _SLOTS:
         value = getattr(ins, slot)
         if slot == needed:
             if value is None:
-                raise IRError(f"{ins.opcode.value} at {ins.index}: missing {slot}")
+                raise IRError(f"{ins.opcode.value} at {index}: missing {slot}")
         elif value is not None:
-            raise IRError(f"{ins.opcode.value} at {ins.index}: unexpected {slot}")
+            raise IRError(f"{ins.opcode.value} at {index}: unexpected {slot}")
 
 
 def written_register(ins: Instruction) -> int | None:
@@ -237,9 +237,7 @@ class MethodIR:
         if self.is_abstract_or_native and self.instructions:
             raise IRError(f"{self.signature}: abstract/native method with a body")
         for i, ins in enumerate(self.instructions):
-            if ins.index != i:
-                raise IRError(f"{self.signature}: instruction indices not dense")
-            validate_instruction(ins)
+            validate_instruction(ins, i)
             for reg in ins.operands:
                 if not 0 <= reg < self.registers:
                     raise IRError(

@@ -210,34 +210,33 @@ def _strip_comment(line: str) -> str:
 
 # one instruction line: (line_no, text, labels); `text` is stripped
 _Raw = tuple[int, str, tuple[str, ...]]
-# what `_build` decodes from one instruction line: the Instruction fields
-# from `opcode` to `type_ref`, the branch's label token, and whether the
-# mnemonic was lowered to nop
-_Decoded = tuple[tuple, str | None, bool]
+# what `_build` decodes from one instruction line: its Instruction, with no
+# branch target, the branch's label token, and whether the mnemonic was
+# lowered to nop
+_Decoded = tuple[Instruction, str | None, bool]
 # `.method` header text -> (name, descriptor, is_static,
 # is_abstract_or_native, parameter words)
 _Header = tuple[str, str, bool, bool, int]
 
 
-_new_tuple = tuple.__new__
-
-
 class _DecodeMemo:
     """What one load has decoded, reused wherever the same text recurs.
 
-    Decoded values are immutable, so a repeated line shares its operand
-    tuple, literal and reference objects with the first (hash-consing).
-    ``lines`` maps a method's register context ``(registers, param_words)``,
-    which decides every register a line names, to a dict from instruction
-    text to its :data:`_Decoded`. Only successful decodes are stored, so a
-    bad line is decoded, and rejected, wherever it appears.
+    Instructions are immutable and hold no position, so a repeated line is
+    the first decode's ``Instruction`` object (hash-consing). ``lines`` and
+    ``branches`` are keyed by a method's register context ``(registers,
+    param_words)``, which decides every register a line names: ``lines``
+    maps instruction text to its :data:`_Decoded`, ``branches`` a branch
+    line's ``(text, target)`` to its ``Instruction``. Only successful decodes
+    are stored, so a bad line is decoded, and rejected, wherever it appears.
     """
 
-    __slots__ = ("headers", "lines")
+    __slots__ = ("headers", "lines", "branches")
 
     def __init__(self) -> None:
         self.headers: dict[str, _Header] = {}
         self.lines: dict[tuple[int, int], dict[str, _Decoded]] = {}
+        self.branches: dict[tuple[int, int], dict[tuple[str, int], Instruction]] = {}
 
 
 class _MethodParser:
@@ -306,22 +305,24 @@ class _MethodParser:
         # Each distinct line is decoded once per register context, so the
         # method needs no MethodIR.validate pass: `_build` sets exactly the
         # slots of the opcode's SHAPES row, `_reg` checks its registers under
-        # the memo's key, `_label` its branch target against this method's
-        # own labels, and the enumeration gives its dense index.
-        decoded_lines = self.memo.lines.setdefault((registers, param_words), {})
+        # the memo's key, and `_label` its branch target against this
+        # method's own labels.
+        context = (registers, param_words)
+        decoded_lines = self.memo.lines.setdefault(context, {})
+        branches = self.memo.branches.setdefault(context, {})
         instructions: list[Instruction] = []
         lowered = 0
-        for idx, (line_no, text, _) in enumerate(self.raw):
+        for line_no, text, _ in self.raw:
             decoded = decoded_lines.get(text)
             if decoded is None:
                 decoded = _build(text, line_no, registers, param_words, label_to_index)
                 decoded_lines[text] = decoded
-            fields, label, is_lowered = decoded
-            # a label names an index in this method only
-            target = None if label is None else _label(label, label_to_index, line_no)
-            # tuple.__new__ skips the NamedTuple's Python-level __new__;
-            # `fields` holds the slots from `opcode` to `type_ref`
-            ins = _new_tuple(Instruction, (idx, *fields, target))
+            ins, label, is_lowered = decoded
+            if label is not None:  # a label names an index in this method only
+                key = (text, _label(label, label_to_index, line_no))
+                if key not in branches:
+                    branches[key] = ins._replace(branch_target=key[1])
+                ins = branches[key]
             instructions.append(ins)
             lowered += is_lowered
 
@@ -348,19 +349,6 @@ def _reg(token: str, registers: int, param_words: int, line_no: int) -> int:
     return n
 
 
-def _decoded(
-    opcode: Opcode,
-    operands: tuple[int, ...] = (),
-    literal: str | None = None,
-    field_ref: FieldRef | None = None,
-    method_ref: MethodRef | None = None,
-    type_ref: str | None = None,
-    label: str | None = None,
-    lowered: bool = False,
-) -> _Decoded:
-    return (opcode, operands, literal, field_ref, method_ref, type_ref), label, lowered
-
-
 def _build(
     text: str,
     line_no: int,
@@ -385,7 +373,7 @@ def _build(
     if opcode is None:
         if _MNEMONIC_RE.match(mnemonic):
             # recognized smali shape, outside the subset
-            return _decoded(Opcode.NOP, lowered=True)
+            return Instruction(Opcode.NOP), None, True
         raise SmaliSyntaxError(f"unrecognized opcode {mnemonic!r}", line_no)
 
     if opcode is Opcode.CONST_STRING:
@@ -396,7 +384,7 @@ def _build(
         literal = m.group(2)
         if "\\" in literal:
             literal = _unescape(literal, line_no)
-        return _decoded(opcode, operands, literal=literal)
+        return Instruction(opcode, operands, literal), None, False
     if opcode in INVOKE_OPCODES:
         m = _INVOKE_RE.match(rest)
         if not m:
@@ -411,7 +399,7 @@ def _build(
             parse_method_descriptor(ref.group("desc"))
         except IRError as exc:
             raise SmaliSyntaxError(str(exc), line_no)
-        return _decoded(opcode, regs, method_ref=MethodRef(*ref.groups()))
+        return Instruction(opcode, regs, method_ref=MethodRef(*ref.groups())), None, False
 
     # every other opcode: its registers, then its attachment, comma-separated
     n, attachment, _, _ = SHAPES[opcode]
@@ -419,7 +407,7 @@ def _build(
     if count == 0:
         if rest:
             raise SmaliSyntaxError(f"{opcode.value} takes no operands", line_no)
-        return _decoded(opcode)
+        return Instruction(opcode), None, False
     parts = [p.strip() for p in rest.split(",")]
     if len(parts) != count or not all(parts):
         raise SmaliSyntaxError(f"expected {count} operands, got {rest!r}", line_no)
@@ -437,7 +425,7 @@ def _build(
             raise SmaliSyntaxError(f"bad type {parts[n]!r}", line_no)
         type_ref = parts[n]
     operands = tuple([reg(p) for p in parts[:n]])
-    return _decoded(opcode, operands, field_ref=field_ref, type_ref=type_ref, label=label)
+    return Instruction(opcode, operands, field_ref=field_ref, type_ref=type_ref), label, False
 
 
 def _invoke_regs(inner: str, reg: Callable[[str], int], line_no: int) -> tuple[int, ...]:
@@ -622,15 +610,11 @@ def print_smali_class(cls: ClassDef) -> str:
         out.append(f".method public {flag_str}{method.name}{method.descriptor}")
         if not method.is_abstract_or_native:
             out.append(f"    .registers {method.registers}")
-            targets = {
-                ins.branch_target
-                for ins in method.instructions
-                if ins.branch_target is not None
-            }
+            targets = {ins.branch_target for ins in method.instructions}
             lowered = method.lowered_count
-            for ins in method.instructions:
-                if ins.index in targets:
-                    out.append(f"    :L{ins.index}")
+            for index, ins in enumerate(method.instructions):
+                if index in targets:
+                    out.append(f"    :L{index}")
                 if lowered and ins.opcode is Opcode.NOP:
                     # nops are all alike, so any of them may stand for the
                     # lowered lines: a mnemonic outside the subset lowers again

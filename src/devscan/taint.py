@@ -103,7 +103,7 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
         sig, code = method.signature, method.instructions
         forname_results: set[int] = set()
         getmethod_results: set[int] = set()
-        for ins in code:
+        for index, ins in enumerate(code):
             op = ins.opcode
             if op is sget:
                 ref = ins.field_ref
@@ -113,7 +113,7 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
                         DeviceInfoSource(
                             kind=SourceKind.BUILD_FIELD_READ,
                             method=sig,
-                            index=ins.index,
+                            index=index,
                             detail=ref.name,
                             defined_register=ins.operands[0],
                         )
@@ -126,26 +126,26 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
             if ref.owner not in (SYSPROP_CLASS, CLASS_CLASS, REFLECT_METHOD_CLASS):
                 continue
             cfg = cfgs[sig]  # built only for a method calling one of these
-            mr = cfg.paired[ins.index]
+            mr = cfg.paired[index]
             result = code[mr].operands[0] if mr is not None else None
             if ref.owner == SYSPROP_CLASS and ref.name == "get":
                 detail = UNKNOWN_KEY
                 if ins.operands:
-                    consts = cfg.literals(ins.index, ins.operands[0])
+                    consts = cfg.literals(index, ins.operands[0])
                     if consts:
                         detail = consts[0]
                 sources.append(
                     DeviceInfoSource(
                         kind=SourceKind.SYSPROP_DIRECT,
                         method=sig,
-                        index=ins.index,
+                        index=index,
                         detail=detail,
                         defined_register=result,
                     )
                 )
                 continue
             if ref.owner == CLASS_CLASS and ref.name == "forName" and ins.operands:
-                consts = cfg.literals(ins.index, ins.operands[0])
+                consts = cfg.literals(index, ins.operands[0])
                 if SYSPROP_DOTTED in consts and mr is not None:
                     forname_results.add(mr)
                 continue
@@ -154,17 +154,17 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
                 and ref.name in ("getMethod", "getDeclaredMethod")
                 and len(ins.operands) >= 2
             ):
-                receiver = cfg.feeding(ins.index, ins.operands[0])
-                name_consts = cfg.literals(ins.index, ins.operands[1])
+                receiver = cfg.feeding(index, ins.operands[0])
+                name_consts = cfg.literals(index, ins.operands[1])
                 if receiver & forname_results and "get" in name_consts and mr is not None:
                     getmethod_results.add(mr)
                 continue
             if ref.owner == REFLECT_METHOD_CLASS and ref.name == "invoke" and ins.operands:
-                if not (cfg.feeding(ins.index, ins.operands[0]) & getmethod_results):
+                if not (cfg.feeding(index, ins.operands[0]) & getmethod_results):
                     continue
                 detail = UNKNOWN_KEY
                 for arg in ins.operands[1:]:
-                    consts = cfg.literals(ins.index, arg)
+                    consts = cfg.literals(index, arg)
                     if consts:
                         detail = consts[0]
                         break
@@ -172,7 +172,7 @@ def find_sources(program: Program, cfgs: CFGMap) -> list[DeviceInfoSource]:
                     DeviceInfoSource(
                         kind=SourceKind.SYSPROP_REFLECTIVE,
                         method=sig,
-                        index=ins.index,
+                        index=index,
                         detail=detail,
                         defined_register=result,
                     )

@@ -67,6 +67,36 @@ def test_out_that_is_a_directory_is_input_error(tmp_path, capsys, command):
     assert err.startswith("devscan: ") and "internal error" not in err
 
 
+@pytest.mark.parametrize("command", ["scan", "aggregate"])
+@pytest.mark.parametrize(
+    "where, code", [("directory", errno.EISDIR), ("missing parent", errno.ENOENT)]
+)
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch, command, where, code):
+    """A --out that cannot be written fails with the write's error before any
+    app is analyzed or report read, and creates nothing."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(devscan.cli, "analyze_app", never)
+    monkeypatch.setattr(devscan.cli, "load_report", never)
+    source = smali_root("oppo_perm")
+    if command == "aggregate":
+        source = tmp_path / "reports"
+        source.mkdir()
+        (source / "oppo.json").write_text("{}", encoding="utf-8")
+    out = tmp_path / "out"
+    if where == "directory":
+        out.mkdir()
+    else:
+        out = out / "report.json"
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, str(source), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"devscan: [Errno {code}] {os.strerror(code)}: {str(out)!r}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_scan_packed_apk(tmp_path, capsys):
     apk = tmp_path / "packed.apk"
     with zipfile.ZipFile(apk, "w") as zf:

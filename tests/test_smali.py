@@ -393,43 +393,41 @@ def _method_bodies(draw):
         alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12
     )
     instructions = []
-    for index in range(n):
+    for _ in range(n):
         kind = draw(st.sampled_from(["const", "move", "invoke", "sget", "if", "goto", "new", "nop"]))
         if kind == "const":
-            ins = Instruction(index, Opcode.CONST_STRING, (draw(regs),), literal=draw(literal))
+            ins = Instruction(Opcode.CONST_STRING, (draw(regs),), literal=draw(literal))
         elif kind == "move":
-            ins = Instruction(index, Opcode.MOVE, (draw(regs), draw(regs)))
+            ins = Instruction(Opcode.MOVE, (draw(regs), draw(regs)))
         elif kind == "invoke":
             owner, name, desc = ("Lcom/app/Helper;", "use", "(Ljava/lang/String;)V")
             from devscan.ir import MethodRef
 
-            ins = Instruction(index, Opcode.INVOKE_STATIC, (draw(regs),), method_ref=MethodRef(owner, name, desc))
+            ins = Instruction(Opcode.INVOKE_STATIC, (draw(regs),), method_ref=MethodRef(owner, name, desc))
         elif kind == "sget":
             from devscan.ir import FieldRef
 
             ins = Instruction(
-                index,
                 Opcode.SGET_OBJECT,
                 (draw(regs),),
                 field_ref=FieldRef("Landroid/os/Build;", "BRAND", "Ljava/lang/String;"),
             )
         elif kind == "if":
             ins = Instruction(
-                index,
                 Opcode.IF_EQZ,
                 (draw(regs),),
                 branch_target=draw(st.integers(min_value=0, max_value=n)),
             )
         elif kind == "goto":
             ins = Instruction(
-                index, Opcode.GOTO, (), branch_target=draw(st.integers(min_value=0, max_value=n))
+                Opcode.GOTO, (), branch_target=draw(st.integers(min_value=0, max_value=n))
             )
         elif kind == "new":
-            ins = Instruction(index, Opcode.NEW_INSTANCE, (draw(regs),), type_ref="Lcom/app/Thing;")
+            ins = Instruction(Opcode.NEW_INSTANCE, (draw(regs),), type_ref="Lcom/app/Thing;")
         else:
-            ins = Instruction(index, Opcode.NOP)
+            ins = Instruction(Opcode.NOP)
         instructions.append(ins)
-    instructions.append(Instruction(n, Opcode.RETURN_VOID))
+    instructions.append(Instruction(Opcode.RETURN_VOID))
     # some of the nops stand for lines the parser lowered
     nops = sum(ins.opcode is Opcode.NOP for ins in instructions)
     return tuple(instructions), draw(st.integers(min_value=0, max_value=nops))
@@ -485,7 +483,7 @@ def _one_of_each_shape(op):
         "branch_target": 0,
     }
     operands = tuple(range(2 if registers is None else registers))
-    return Instruction(0, op, operands, **({attachment: sample[attachment]} if attachment else {}))
+    return Instruction(op, operands, **({attachment: sample[attachment]} if attachment else {}))
 
 
 def test_every_opcode_has_one_shape():
@@ -499,13 +497,13 @@ def test_each_opcode_decodes_prints_and_decodes_back(op):
     from devscan.ir import ClassDef
 
     ins = _one_of_each_shape(op)
-    validate_instruction(ins)
+    validate_instruction(ins, 0)
     method = MethodIR(
         owner="Lcom/app/K;",
         name="f",
         descriptor="()V",
         registers=3,
-        instructions=(ins, Instruction(1, Opcode.RETURN_VOID)),
+        instructions=(ins, Instruction(Opcode.RETURN_VOID)),
         is_static=True,
     )
     cls = ClassDef("Lcom/app/K;", "Ljava/lang/Object;", (method,))
@@ -599,9 +597,9 @@ def test_load_program_rejects_duplicate_class(tmp_path):
 
 
 def test_validate_instruction_rejects_extra_slots():
-    ins = Instruction(0, Opcode.NOP, (), literal="x")
+    ins = Instruction(Opcode.NOP, (), literal="x")
     with pytest.raises(IRError):
-        validate_instruction(ins)
+        validate_instruction(ins, 0)
 
 
 # -- parser contract: one bad input per SmaliSyntaxError kind ----------------
@@ -871,6 +869,42 @@ def test_same_branch_line_resolves_per_method():
     assert [m.instructions[0].branch_target for m in cls.methods] == [2, 1]
 
 
+def test_instructions_hold_no_position():
+    assert "index" not in Instruction._fields
+
+
+def test_same_lines_share_instruction_objects():
+    body = ("const-string v0, \"x\"", "if-eqz v0, :a", "nop", ":a", "move v1, v0", "return-void")
+    cls = parse_smali_class(
+        _HEAD + _method(*body) + _method(*body, header="public static g()V")
+    )
+    f, g = cls.methods
+    assert f.instructions == g.instructions
+    assert all(a is b for a, b in zip(f.instructions, g.instructions))
+
+
+def test_branch_to_another_index_is_another_object():
+    cls = parse_smali_class(
+        _HEAD
+        + _method("if-eqz v0, :a", "nop", ":a", "return-void")
+        + _method("if-eqz v0, :a", ":a", "nop", "return-void", header="public static g()V")
+    )
+    f, g = cls.methods
+    assert [m.instructions[0].branch_target for m in cls.methods] == [2, 1]
+    assert f.instructions[0] is not g.instructions[0]
+    assert f.instructions[1] is g.instructions[1] and f.instructions[2] is g.instructions[2]
+
+
+def test_call_web_loads_one_object_per_distinct_line(tmp_path):
+    from tests.conftest import load_script
+
+    load_script("perfbench/gen_call_web.py").generate(7, tmp_path)
+    program, _ = load_program(tmp_path / "smali")
+    instructions = [ins for m in program.methods() for ins in m.instructions]
+    assert len(instructions) == 3175
+    assert len({id(ins) for ins in instructions}) == 90
+
+
 def test_repeated_lowered_line_counts_each_time():
     cls = parse_smali_class(
         _HEAD
@@ -905,7 +939,6 @@ def test_instruction_contract():
 
     params = inspect.signature(Instruction).parameters
     assert [(p.name, p.default) for p in params.values()] == [
-        ("index", inspect.Parameter.empty),
         ("opcode", inspect.Parameter.empty),
         ("operands", ()),
         ("literal", None),
@@ -914,12 +947,12 @@ def test_instruction_contract():
         ("type_ref", None),
         ("branch_target", None),
     ]
-    ins = Instruction(3, Opcode.GOTO, branch_target=0)
-    assert (ins.index, ins.opcode, ins.operands, ins.branch_target) == (3, Opcode.GOTO, (), 0)
-    assert ins == Instruction(3, Opcode.GOTO, (), None, None, None, None, 0)
+    ins = Instruction(Opcode.GOTO, branch_target=0)
+    assert (ins.opcode, ins.operands, ins.branch_target) == (Opcode.GOTO, (), 0)
+    assert ins == Instruction(Opcode.GOTO, (), None, None, None, None, 0)
     returns = {Opcode.RETURN_VOID, Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE}
     for op in Opcode:
-        assert Instruction(0, op).is_return() is (op in returns)
+        assert Instruction(op).is_return() is (op in returns)
 
 
 def test_refs_and_opcodes_contract():
@@ -941,13 +974,14 @@ def test_refs_and_opcodes_contract():
 @pytest.mark.parametrize(
     "ins, message",
     [
-        (Instruction(0, Opcode.MOVE, (1,)), "move at 0: expected 2 register operands, got 1"),
-        (Instruction(1, Opcode.GOTO), "goto at 1: missing branch_target"),
-        (Instruction(2, Opcode.CONST_STRING, (0,), "s", type_ref="La/B;"),
+        ((Instruction(Opcode.MOVE, (1,)), 0), "move at 0: expected 2 register operands, got 1"),
+        ((Instruction(Opcode.GOTO), 1), "goto at 1: missing branch_target"),
+        ((Instruction(Opcode.CONST_STRING, (0,), "s", type_ref="La/B;"), 2),
          "const-string at 2: unexpected type_ref"),
     ],
 )
 def test_validate_instruction_messages(ins, message):
+    # each instruction with the position its message names
     with pytest.raises(IRError) as err:
-        validate_instruction(ins)
+        validate_instruction(*ins)
     assert str(err.value) == message

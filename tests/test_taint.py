@@ -115,9 +115,9 @@ def reference_guard_strings(site: GuardSite, cfg: CFG) -> list[str]:
     if site.comparison_call is not None:
         invoke = method.instructions[site.comparison_call]
         for arg in invoke.operands:
-            for lit in reaching_const_strings(cfg, invoke.index, arg):
+            for lit in reaching_const_strings(cfg, site.comparison_call, arg):
                 add(lit)
-            follow(invoke.index, arg)
+            follow(site.comparison_call, arg)
     follow(site.branch_instruction, site.condition_register)
 
     blocks = {cfg.block_of[site.branch_instruction]}
@@ -524,7 +524,7 @@ def dense_solve(cfg, entry, transfer):
                 state[reg] = state[reg] | value if reg in state else value
         for i in cfg.blocks[bid]:
             in_sets[i] = state.copy()
-            transfer(instructions[i], state)
+            transfer(i, instructions[i], state)
         if block_out.get(bid) != state:
             block_out[bid] = state
             for succ in sorted(cfg.succ[bid]):
@@ -534,25 +534,25 @@ def dense_solve(cfg, entry, transfer):
     return in_sets
 
 
-def dense_define(ins, state):
+def dense_define(i, ins, state):
     if (w := written_register(ins)) is not None:
-        state[w] = frozenset([ins.index])
+        state[w] = frozenset([i])
 
 
 def dense_taint_transfer(reference, sig):
     method = reference.cfgs.methods[sig]
     bits = {(src.method, src.index): 1 << i for i, src in enumerate(reference.sources)}
 
-    def transfer(ins, state):
+    def transfer(i, ins, state):
         if (w := written_register(ins)) is None:
             return
         mask = 0
         if ins.opcode is Opcode.MOVE:
             mask = state.get(ins.operands[1], 0)
         elif ins.opcode is Opcode.SGET_OBJECT:
-            mask = bits.get((sig, ins.index), 0)
+            mask = bits.get((sig, i), 0)
         elif ins.opcode is Opcode.MOVE_RESULT:
-            invoke = feeding_invoke(method, ins.index)
+            invoke = feeding_invoke(method, i)
             if invoke is not None:
                 mask = bits.get((sig, invoke), 0)
                 ref = method.instructions[invoke].method_ref
@@ -596,13 +596,13 @@ class RePassReference:
         in_sets = dense_solve(cfg, self.entry_facts.get(sig, {}), dense_taint_transfer(self, sig))
         self.solutions[sig] = in_sets
         dirty, summary = [], 0
-        for ins in cfg.method.instructions:
+        for i, ins in enumerate(cfg.method.instructions):
             if ins.opcode in (Opcode.RETURN_OBJECT, Opcode.RETURN_VALUE):
-                summary |= in_sets[ins.index].get(ins.operands[0], 0)
+                summary |= in_sets[i].get(ins.operands[0], 0)
         if summary != self.summaries.get(sig, 0):
             self.summaries[sig] = summary
             dirty += self.call_graph.callers(sig)
-        for ins in cfg.method.instructions:
+        for i, ins in enumerate(cfg.method.instructions):
             if ins.method_ref is None:
                 continue
             callee, resolved = self.call_graph.target(ins.method_ref)
@@ -611,7 +611,7 @@ class RePassReference:
             base = self.cfgs.methods[callee].registers - len(ins.operands)
             regs = self.entry_facts.setdefault(callee, {})
             for word, arg in enumerate(ins.operands if base >= 0 else ()):
-                mask = in_sets[ins.index].get(arg, 0)
+                mask = in_sets[i].get(arg, 0)
                 if mask & ~regs.get(base + word, 0):
                     regs[base + word] = regs.get(base + word, 0) | mask
                     dirty.append(callee)
@@ -773,12 +773,12 @@ def test_pairing_matches_the_walks(program):
     it finds, and each invoke with the move-result the walk forward finds."""
     for method in program.methods():
         expected = []
-        for ins in method.instructions:
+        for i, ins in enumerate(method.instructions):
             partner = None
             if ins.opcode is Opcode.MOVE_RESULT:
-                partner = feeding_invoke(method, ins.index)
+                partner = feeding_invoke(method, i)
             elif ins.opcode in INVOKE_OPCODES:
-                partner = (result_register(method, ins.index) or (None,))[0]
+                partner = (result_register(method, i) or (None,))[0]
             expected.append(partner)
         assert build_cfg(method).paired == tuple(expected), method.signature
 
@@ -820,13 +820,13 @@ def test_feeding_query_matches_the_walks(program):
                 moves = {d for d in feeding if d >= 0 and code[d].opcode is Opcode.MOVE}
                 assert feeding - moves == def_closure(cfg, i, r), at
                 assert cfg.literals(i, r) == reaching_const_strings(cfg, i, r), at
-        calls = [None] + [ins.index for ins in code if ins.opcode in INVOKE_OPCODES]
-        for ins in code:
+        calls = [None] + [i for i, ins in enumerate(code) if ins.opcode in INVOKE_OPCODES]
+        for i, ins in enumerate(code):
             if ins.opcode not in IF_OPCODES:
                 continue
             for reg, call in product(ins.operands, calls):
                 site = GuardSite(
-                    method.signature, ins.index, ComparisonKind.STRING_EQUALS,
+                    method.signature, i, ComparisonKind.STRING_EQUALS,
                     OperandSide.RECEIVER, reg, call,
                 )
                 assert collect_guard_strings(site, cfg) == reference_guard_strings(site, cfg), site

@@ -378,7 +378,7 @@ def extract_region(
                 if resolved:
                     new_callees.append(callee)
                 else:
-                    system.add(ref.signature)
+                    system.add(callee)  # the reference's own signature
         return new_callees
 
     work = deque(scan(region_instructions))

@@ -171,7 +171,11 @@ def _batch_row(row: tuple[str, str, str | None, str], args_dict: dict) -> dict:
             failure_reason=f"internal: {type(exc).__name__}: {exc}",
         )
     out_path = Path(args_dict["out_dir"]) / f"{app_id}.json"
-    save_report(report, out_path)
+    try:
+        save_report(report, out_path)
+    except OSError as exc:  # nor must one report that cannot be written
+        print(f"devscan: {app_id}: {exc}", file=sys.stderr)
+        return {"app_id": app_id, "status": report.analysis_status, "out": None}
     return {"app_id": app_id, "status": report.analysis_status, "out": str(out_path)}
 
 
@@ -224,8 +228,8 @@ def cmd_batch(args) -> int:
         for row in rows:
             results.append(_batch_row(row, args_dict))
     for res in results:
-        print(f"{res['app_id']}\t{res['status']}\t{res['out']}")
-    return EXIT_OK
+        print(f"{res['app_id']}\t{res['status']}\t{res['out'] or '-'}")  # "-": not written
+    return EXIT_OK if all(res["out"] for res in results) else EXIT_INPUT
 
 
 def cmd_aggregate(args) -> int:

@@ -23,6 +23,8 @@ EXIT = -1
 
 # the definition site CFG.defs reports for method entry
 ENTRY_DEF = -1
+# the answer of most block-start queries, kept once rather than per query
+_ENTRY_ONLY = frozenset((ENTRY_DEF,))
 
 
 class EdgeKind(str, Enum):
@@ -102,7 +104,7 @@ class CFG:
                     elif p not in seen:
                         seen.add(p)
                         work.append(p)
-            found = memo[(start, register)] = frozenset(defs)
+            found = memo[(start, register)] = _ENTRY_ONLY if defs == _ENTRY_ONLY else frozenset(defs)
         return found
 
     def feeding(self, index: int, register: int) -> frozenset[int]:

@@ -204,8 +204,12 @@ def package_of(class_descriptor: str) -> str:
     return dotted.rsplit(".", 1)[0] if "." in dotted else ""
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodIR:
+    """One method. ``signature`` is built once, at construction: ``owner``,
+    ``name`` and ``descriptor`` are never reassigned, so every table keyed
+    by a signature holds the method's own string, with its cached hash."""
+
     owner: str
     name: str
     descriptor: str
@@ -214,10 +218,10 @@ class MethodIR:
     is_abstract_or_native: bool = False
     is_static: bool = False
     lowered_count: int = 0
+    signature: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def signature(self) -> str:
-        return f"{self.owner}->{self.name}{self.descriptor}"
+    def __post_init__(self) -> None:
+        self.signature = f"{self.owner}->{self.name}{self.descriptor}"
 
     @property
     def has_body(self) -> bool:

@@ -221,13 +221,13 @@ def analyze_app(
         counts[src.kind.value] = counts.get(src.kind.value, 0) + 1
     report.source_counts = dict(sorted(counts.items()))
 
-    engine = TaintEngine(cfgs, call_graph, sources, deadline=deadline)
-    taint = engine.solve()
+    taint = TaintEngine(cfgs, call_graph, sources, deadline=deadline).solve()
     report.taint_converged = taint.converged
     if on_taint is not None:
         on_taint(taint)
 
     guards = find_device_guards(taint, cfgs, db)
+    del taint  # no later stage reads it: a reference on_taint keeps still holds it
     report.guards = len(guards)
 
     brands: set[str] = set()

@@ -227,16 +227,38 @@ class _DecodeMemo:
     ``branches`` are keyed by a method's register context ``(registers,
     param_words)``, which decides every register a line names: ``lines``
     maps instruction text to its :data:`_Decoded`, ``branches`` a branch
-    line's ``(text, target)`` to its ``Instruction``. Only successful decodes
-    are stored, so a bad line is decoded, and rejected, wherever it appears.
+    line's ``(text, target)`` to its ``Instruction``. ``refs`` maps a method
+    reference's text to its one ``MethodRef``, across register contexts,
+    and ``strings`` holds one copy of each owner, name and descriptor those
+    name; a descriptor is checked once, before it enters ``strings``. Only
+    successful decodes are stored, so a bad line is decoded, and rejected,
+    wherever it appears.
     """
 
-    __slots__ = ("headers", "lines", "branches")
+    __slots__ = ("headers", "lines", "branches", "refs", "strings")
 
     def __init__(self) -> None:
         self.headers: dict[str, _Header] = {}
         self.lines: dict[tuple[int, int], dict[str, _Decoded]] = {}
         self.branches: dict[tuple[int, int], dict[tuple[str, int], Instruction]] = {}
+        self.refs: dict[str, MethodRef] = {}
+        self.strings: dict[str, str] = {}
+
+    def method_ref(self, text: str, line_no: int) -> MethodRef:
+        ref = self.refs.get(text)
+        if ref is None:
+            m = _METHOD_REF_RE.match(text)
+            if not m:
+                raise SmaliSyntaxError(f"malformed method reference {text!r}", line_no)
+            strings = self.strings
+            # owners and names never start with "(", so a descriptor in `strings` was checked
+            if m.group("desc") not in strings:
+                try:
+                    parse_method_descriptor(m.group("desc"))
+                except IRError as exc:
+                    raise SmaliSyntaxError(str(exc), line_no)
+            ref = self.refs[text] = MethodRef(*[strings.setdefault(g, g) for g in m.groups()])
+        return ref
 
 
 class _MethodParser:
@@ -315,7 +337,7 @@ class _MethodParser:
         for line_no, text, _ in self.raw:
             decoded = decoded_lines.get(text)
             if decoded is None:
-                decoded = _build(text, line_no, registers, param_words, label_to_index)
+                decoded = _build(text, line_no, registers, param_words, label_to_index, self.memo)
                 decoded_lines[text] = decoded
             ins, label, is_lowered = decoded
             if label is not None:  # a label names an index in this method only
@@ -355,6 +377,7 @@ def _build(
     registers: int,
     param_words: int,
     labels: dict[str, int],
+    memo: _DecodeMemo,
 ) -> _Decoded:
     """Decode one instruction line, checking it in a fixed order.
 
@@ -390,16 +413,7 @@ def _build(
         if not m:
             raise SmaliSyntaxError("malformed invoke", line_no)
         regs = _invoke_regs(m.group(1), reg, line_no)
-        ref = _METHOD_REF_RE.match(m.group(2))
-        if not ref:
-            raise SmaliSyntaxError(
-                f"malformed method reference {m.group(2)!r}", line_no
-            )
-        try:
-            parse_method_descriptor(ref.group("desc"))
-        except IRError as exc:
-            raise SmaliSyntaxError(str(exc), line_no)
-        return Instruction(opcode, regs, method_ref=MethodRef(*ref.groups())), None, False
+        return Instruction(opcode, regs, method_ref=memo.method_ref(m.group(2), line_no)), None, False
 
     # every other opcode: its registers, then its attachment, comma-separated
     n, attachment, _, _ = SHAPES[opcode]

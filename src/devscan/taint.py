@@ -200,8 +200,10 @@ class TaintResult:
     sources: tuple[DeviceInfoSource, ...]
     iterations: int
     converged: bool
-    # built method -> register -> the indices of its tainted definitions
-    _tainted: dict[str, dict[int, set[int]]] = field(default_factory=dict, repr=False)
+    # the solver's own tables, and each built method's registers with a tainted definition
+    _masks: dict[Def | str, int] = field(default_factory=dict, repr=False)
+    _shared: dict[Def, Def] = field(default_factory=dict, repr=False)
+    _registers: dict[str, frozenset[int]] = field(default_factory=dict, repr=False)
     _cfgs: CFGMap = field(default_factory=lambda: CFGMap({}), repr=False)
     _build_facts: Callable[[], frozenset[TaintFact]] | None = field(
         default=None, repr=False, compare=False
@@ -215,19 +217,24 @@ class TaintResult:
     def tainted(self, method_sig: str, index: int, register: int) -> bool:
         """Whether the register is tainted immediately before the
         instruction: whether a tainted definition of it reaches there."""
-        defs = self._tainted.get(method_sig, {}).get(register)
-        return defs is not None and not defs.isdisjoint(self._cfgs[method_sig].defs(index, register))
+        if register in self._registers.get(method_sig, ()):
+            masks, shared = self._masks, self._shared
+            for d in self._cfgs[method_sig].defs(index, register):
+                node = (method_sig, register, d)
+                if masks.get(shared.get(node, node)):
+                    return True
+        return False
 
     def tainted_registers(self, method_sig: str, index: int) -> frozenset[int]:
         """Registers tainted immediately before the instruction executes."""
-        regs = self._tainted.get(method_sig, ())
+        regs = self._registers.get(method_sig, ())
         return frozenset(r for r in regs if self.tainted(method_sig, index, r))
 
     def tainted_in(self, method_sig: str) -> bool:
         """Whether any register of the method is tainted at any point: a
         tainted definition reaches the point after it, as a method does not
         end in a write."""
-        return bool(self._tainted.get(method_sig))
+        return method_sig in self._registers
 
     def per_point(self) -> dict[str, dict[int, frozenset[int]]]:
         return {
@@ -252,11 +259,11 @@ class TaintEngine:
     resolves to returns taint. ``iterations`` counts the methods built.
     ``masks`` maps each node to its origin mask, and holds a built method's
     return node from the build on; ``edges`` maps a node to the nodes it
-    feeds. A move whose read reaches exactly one earlier definition shares
-    that definition's node, through ``shared`` (Rountev and Chandra's
-    off-line variable substitution, PLDI 2000). A passed ``deadline``
-    (``time.monotonic()``), checked per node popped and per method built,
-    stops it where it is.
+    feeds, and is emptied when the solve stops. A move whose read reaches
+    exactly one earlier definition shares that definition's node, through
+    ``shared`` (Rountev and Chandra's off-line variable substitution, PLDI
+    2000). A passed ``deadline`` (``time.monotonic()``), checked per node
+    popped and per method built, stops it where it is.
     """
 
     def __init__(
@@ -278,27 +285,30 @@ class TaintEngine:
         # the nodes to pop, first in first out, and the origins each has not passed on yet
         self._work: deque[Def | str] = deque()
         self._pending: dict[Def | str, int] = {}
-        # method -> (register, def index) -> the origins a source writes there
-        self._seeds: dict[str, dict[tuple[int, int], int]] = {}
+        # method -> the sources writing a register there, until it is built
+        self._seeds: dict[str, list[int]] = {}
         for i, src in enumerate(self.sources):
-            if src.defined_register is None:
-                continue
-            d = src.index
-            if src.kind is not SourceKind.BUILD_FIELD_READ:  # the call's move-result
-                d = cfgs[src.method].paired[d]
-            seeds = self._seeds.setdefault(src.method, {})
-            seeds[(src.defined_register, d)] = seeds.get((src.defined_register, d), 0) | 1 << i
+            if src.defined_register is not None:
+                self._seeds.setdefault(src.method, []).append(i)
+
+    def _seed(self, src: DeviceInfoSource) -> Def:
+        """The definition a source writes: its own, or its call's move-result."""
+        d = src.index
+        if src.kind is not SourceKind.BUILD_FIELD_READ:
+            d = self.cfgs[src.method].paired[d]
+        return (src.method, src.defined_register, d)
 
     def _late(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
 
     def _flow(self, nodes: Iterable[Def | str], mask: int) -> None:
-        """OR origins into nodes, queueing the new ones to pass on."""
+        """OR origins into nodes, queueing the new ones to pass on. A node
+        reached for the first time holds the passed mask object itself."""
         masks, pending = self.masks, self._pending
         for node in nodes:
             old = masks.get(node, 0)
-            if new := mask & ~old:
-                masks[node] = old | new
+            if new := mask & ~old if old else mask:
+                masks[node] = old | new if old else new
                 if node in pending:
                     pending[node] |= new
                 else:
@@ -376,8 +386,8 @@ class TaintEngine:
                 self.edges.setdefault(node, []).append(child)
                 if mask := self.masks.get(node):
                     self._flow((child,), mask)
-        for (reg, d), bits in self._seeds.get(sig, {}).items():
-            self._flow(((sig, reg, d),), bits)
+        for i in self._seeds.pop(sig, ()):
+            self._flow((self._seed(self.sources[i]),), 1 << i)
         return True
 
     def solve(self) -> TaintResult:
@@ -397,14 +407,18 @@ class TaintEngine:
             else:
                 continue
             converged = all(self._build(sig) for sig in reached if sig not in masks)
-        tainted: dict[str, dict[int, set[int]]] = {}
-        for (sig, reg, d), _ in self._tainted_defs():
-            tainted.setdefault(sig, {}).setdefault(reg, set()).add(d)
+        # nothing reads the worklist's tables once the solve stops
+        self.edges, self._pending, self._work = {}, {}, deque()
+        registers: dict[str, set[int]] = {}
+        for (sig, reg, _), _ in self._tainted_defs():
+            registers.setdefault(sig, set()).add(reg)
         return TaintResult(
             sources=self.sources,
             iterations=self.iterations,
             converged=converged,
-            _tainted=tainted,
+            _masks=masks,
+            _shared=self.shared,
+            _registers={sig: frozenset(regs) for sig, regs in registers.items()},
             _cfgs=self.cfgs,
             _build_facts=lambda: self._facts(converged),
         )
@@ -431,6 +445,7 @@ class TaintEngine:
         from definition queries; a partial result keeps both coarse.
         """
         keys = {(*key, origin) for key, mask in self._tainted_defs() for origin in _bits(mask)}
+        seeded = {(*self._seed(s), i) for i, s in enumerate(self.sources) if s.defined_register is not None}
         into: dict[Def | str, list[tuple[tuple, Step | None]]] = {}
         for sig in [k for k in self.masks if type(k) is str]:
             for parents, child, step in self._edges(sig):
@@ -441,7 +456,7 @@ class TaintEngine:
         children: dict[FactKey, list[FactKey]] = {}
         for key in keys:
             sig, reg, d, origin = key
-            if self._seeds.get(sig, {}).get((reg, d), 0) >> origin & 1:
+            if key in seeded:
                 chains[key] = ()  # a source read's or source call's own fact
                 continue
             found = parents[key] = []

@@ -315,6 +315,28 @@ def test_batch_row_crash_fails_only_that_row(tmp_path, capsys, monkeypatch):
     assert [row.split("\t")[:2] for row in rows] == [["a", "ok"], ["b", "failed"], ["c", "ok"]]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_unwritable_report_fails_only_that_row(tmp_path, capfd, jobs):
+    """A report that cannot be written is named on stderr, every other row
+    is analyzed and written, every row prints its line, and the exit is 2.
+    ``capfd`` also reads what the pool's workers print."""
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(
+        f"oppo\t{smali_root('oppo_perm')}\nclean\t{smali_root('zero_sources')}\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "reports"
+    (out_dir / "oppo.json").mkdir(parents=True)
+    assert main(["batch", str(manifest), "--out-dir", str(out_dir), "--jobs", jobs]) == 2
+    out, err = capfd.readouterr()
+    assert "devscan: oppo: " in err and "oppo.json" in err
+    assert json.loads((out_dir / "clean.json").read_text())["analysis_status"] == "ok"
+    assert [row.split("\t") for row in out.splitlines()] == [
+        ["oppo", "ok", "-"],
+        ["clean", "ok", str(out_dir / "clean.json")],
+    ]
+
+
 def test_batch_loads_db_once(tmp_path, capsys, monkeypatch):
     calls = []
     real = devscan.cli.load_device_db

@@ -159,6 +159,24 @@ def test_targets_and_callers_agree_with_edges(all_fixture_ids, tmp_path):
             assert graph.callers(sig) == tuple(sorted(callers.get(sig, ()))), (name, sig)
 
 
+def test_one_signature_object_per_method(all_fixture_ids, tmp_path):
+    """Every table keyed by a signature holds the method's own string."""
+    from tests.conftest import load_script
+
+    load_script("perfbench/gen_call_web.py").generate(7, tmp_path)
+    programs = [(fid, corpus_run(fid).program) for fid in all_fixture_ids]
+    programs.append(("call_web", load_program(tmp_path / "smali")[0]))
+    for name, program in programs:
+        methods = {m.signature: m for m in program.methods()}
+        assert all(sig is m.signature is m.signature for sig, m in methods.items()), name
+        assert all(sig is methods[sig].signature for sig in build_cfgs(program)), name
+        graph = build_call_graph(program)
+        for e in graph.edges:
+            callee, resolved = graph.target(methods[e.caller].instructions[e.call_index].method_ref)
+            assert not resolved or callee is methods[callee].signature, (name, e)
+            assert all(c is methods[c].signature for c in graph.callers(e.callee)), (name, e)
+
+
 def test_no_invokes_empty_edges():
     cls = parse_smali_class(
         """

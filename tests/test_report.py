@@ -21,6 +21,7 @@ from devscan.report import (
     save_report,
     sdk_prefixes_default,
 )
+from devscan.smali import load_program
 from tests.conftest import load_script
 
 
@@ -169,6 +170,62 @@ def test_analysis_leaves_no_cyclic_garbage(tmp_path, budget_bomb, device_db, rul
     assert statuses[-4:] == [Status.OK, Status.OK, Status.FAILED, Status.FAILED]
     assert reports[-3].diagnostics and reports[-1].failure_reason == "packed"
     assert read and read[0][0] > 0
+
+
+@pytest.mark.parametrize("app", ["call_web", "budget_bomb"])
+def test_taint_result_kept_past_the_analysis_reads_the_same(
+    tmp_path, budget_bomb, device_db, rules, app
+):
+    """analyze_app lets go of taint after the guard stage; a result that
+    on_taint keeps still answers as it did inside the callback, also when
+    the deadline cut the solve."""
+    if app == "call_web":
+        root, budgets = _call_web(7, tmp_path), None
+    else:
+        root, budgets = budget_bomb, Budgets(wall_clock_seconds=0.6)
+    kept, inside = [], {}
+
+    def on_taint(taint):
+        kept.append(taint)
+        points = taint.per_point()
+        inside["facts"] = taint.facts
+        del taint.facts  # drop the cached value: the late read rebuilds it
+        inside["points"] = points
+        inside["tainted_in"] = {sig: taint.tainted_in(sig) for sig in points}
+
+    report = analyze_app(root, db=device_db, rules=rules, budgets=budgets, on_taint=on_taint)
+    (taint,) = kept
+    assert report.taint_converged == taint.converged == (app == "call_web")
+    assert taint.facts == inside["facts"]
+    assert taint.per_point() == inside["points"]
+    assert {sig: taint.tainted_in(sig) for sig in inside["points"]} == inside["tainted_in"]
+    if app == "call_web":
+        assert inside["facts"] and any(inside["tainted_in"].values())
+
+
+def test_analysis_peak_memory_is_a_small_multiple_of_the_program(tmp_path, device_db, rules):
+    """Each stage's data is held once and let go of when no later stage
+    reads it: on synth_wide, analyze_app's traced peak stays within 3.5
+    times the loaded Program. A ratio holds across CPython versions better
+    than a fixed size does."""
+    import tracemalloc
+
+    load_script("perfbench/gen_synth_wide.py").generate(7, tmp_path)
+    root = tmp_path / "smali"
+    analyze_app(root, db=device_db, rules=rules)  # every lazy import and cache filled
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        program, _ = load_program(root)
+        program_bytes = tracemalloc.get_traced_memory()[0] - before
+        del program
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        analyze_app(root, db=device_db, rules=rules)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * program_bytes, (peak / 2**20, program_bytes / 2**20)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -905,6 +905,19 @@ def test_call_web_loads_one_object_per_distinct_line(tmp_path):
     assert len({id(ins) for ins in instructions}) == 90
 
 
+def test_call_web_loads_one_reference_per_distinct_text(tmp_path):
+    """Method references are shared per load across register contexts, and
+    their owners, names and descriptors are one string each."""
+    from tests.conftest import load_script
+
+    load_script("perfbench/gen_call_web.py").generate(7, tmp_path)
+    program, _ = load_program(tmp_path / "smali")
+    refs = [ins.method_ref for m in program.methods() for ins in m.instructions if ins.method_ref]
+    assert len({id(r) for r in refs}) == len({str(r) for r in refs}) < len(refs)
+    for part in ("owner", "name", "descriptor"):
+        assert len({id(getattr(r, part)) for r in refs}) == len({getattr(r, part) for r in refs})
+
+
 def test_repeated_lowered_line_counts_each_time():
     cls = parse_smali_class(
         _HEAD
